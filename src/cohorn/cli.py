@@ -40,6 +40,7 @@ from .resolve import (
     Path,
     Stuck,
     axiom,
+    index_key,
     lemma,
     trace as small_step_trace,
 )
@@ -129,9 +130,21 @@ class Session:
                         f"and {seen}",
                         d.line,
                     )
+        # an earlier axiom can only duplicate or overlap a later one of the
+        # same predicate whose index key is equal, or when one key is None
         axioms = [d.formula for d in self.module.decls if d.kind == "axiom"]
+        by_key: dict[tuple, list[int]] = {}
+        by_pred: dict[str, list[int]] = {}
         for i, f in enumerate(axioms):
-            for g in axioms[:i]:
+            pred, key = f.head.pred, index_key(f.head)
+            if key is None:
+                earlier = by_pred.get(pred, [])
+            else:
+                earlier = sorted(
+                    by_key.get((pred, key), []) + by_key.get((pred, None), [])
+                )
+            for j in earlier:
+                g = axioms[j]
                 if f == g:
                     self.warnings.append(
                         f"duplicate axiom formula {render_horn(f)}"
@@ -144,6 +157,8 @@ class Session:
                         f"overlapping heads: {render_atom(f.head)} and "
                         f"{render_atom(g.head)}"
                     )
+            by_key.setdefault((pred, key), []).append(i)
+            by_pred.setdefault(pred, []).append(i)
 
     def process(self):
         next_id = len(self.module.decls)
@@ -489,25 +504,46 @@ def run_obs(path: str, goal_text: str, n: int, fuel: int = 10_000) -> tuple[int,
     return code, "".join(l + "\n" for l in lines), ""
 
 
+def _int_at_least(low: int):
+    """An argparse type accepting integers >= low, so an out-of-range bound
+    is a usage error (exit 2) instead of a traceback."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+
+
 def _build_arg_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="cohorn")
     sub = p.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser("check", help="prove every lemma and auto goal in a file")
     check.add_argument("file")
-    check.add_argument("--fuel", type=int, default=10_000)
-    check.add_argument("--depth", type=int, default=50)
-    check.add_argument("--rounds", type=int, default=3)
+    check.add_argument("--fuel", type=_positive_int, default=10_000)
+    check.add_argument("--depth", type=_positive_int, default=50)
+    check.add_argument("--rounds", type=_positive_int, default=3)
     check.add_argument("--trace", action="store_true")
     check.add_argument("--explain", action="store_true")
-    check.add_argument("--obs-check", type=int, default=None, metavar="N")
+    check.add_argument(
+        "--obs-check", type=_int_at_least(0), default=None, metavar="N"
+    )
     check.add_argument("--json", action="store_true")
 
     tr = sub.add_parser("trace", help="dump the small-step resolution trace of a goal")
     tr.add_argument("file")
     tr.add_argument("--goal", required=True)
     tr.add_argument("--steps", type=int, default=100)
-    tr.add_argument("--fuel", type=int, default=10_000)
+    tr.add_argument("--fuel", type=_positive_int, default=10_000)
 
     obs = sub.add_parser(
         "obs", help="compare resolution and evidence reduction on a simple loop"
@@ -515,7 +551,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     obs.add_argument("file")
     obs.add_argument("--goal", required=True)
     obs.add_argument("-n", type=int, default=3)
-    obs.add_argument("--fuel", type=int, default=10_000)
+    obs.add_argument("--fuel", type=_positive_int, default=10_000)
     return p
 
 

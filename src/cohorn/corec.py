@@ -266,14 +266,14 @@ def wf_check(env: AxiomEnv) -> tuple[bool, list[str]]:
     evidence must type-check at its formula against the entries before it;
     axioms and hypotheses pass trivially."""
     failures = []
-    for i, entry in enumerate(env.entries):
-        if entry.kind.name != "LEMMA":
-            continue
-        ctx = TypingContext(tuple((e.name, e.formula) for e in env.entries[:i]))
-        ok, log = type_check(ctx, entry.evidence, entry.formula)
-        if not ok:
-            failures.append(
-                f"{entry.name} : {render_horn(entry.formula)} -- "
-                f"{log[-1] if log else 'no trace'}"
-            )
+    ctx = TypingContext()
+    for entry in env:
+        if entry.kind.name == "LEMMA":
+            ok, log = type_check(ctx, entry.evidence, entry.formula)
+            if not ok:
+                failures.append(
+                    f"{entry.name} : {render_horn(entry.formula)} -- "
+                    f"{log[-1] if log else 'no trace'}"
+                )
+        ctx = ctx.extended(entry.name, entry.formula)
     return not failures, failures

@@ -233,7 +233,9 @@ class SimpleLoop:
 
 
 def _reducible(env: AxiomEnv, atom: Atom) -> bool:
-    return any(match(e.formula.head, atom) is not None for e in env.clauses())
+    return any(
+        match(e.formula.head, atom) is not None for e in env.clauses_for(atom)
+    )
 
 
 def _hyp_context(env: AxiomEnv, start: Atom, d: Atom, fuel: int) -> Optional[Mixed]:

@@ -9,11 +9,13 @@ over clause choices, all bounded by fuel.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .syntax import (
+    App,
     Atom,
     EAxiom,
     EVar,
@@ -24,6 +26,7 @@ from .syntax import (
     HornFormula,
     MAtom,
     Mixed,
+    Var,
     apply,
     match,
     mk_eapp,
@@ -38,6 +41,9 @@ class EntryKind(enum.Enum):
     COHYP = "cohypothesis"
 
 
+CLAUSE_KINDS = (EntryKind.AXIOM, EntryKind.LEMMA)
+
+
 @dataclass(frozen=True)
 class Entry:
     name: str
@@ -47,7 +53,7 @@ class Entry:
 
     def ref(self) -> Evidence:
         """The evidence node standing for this entry inside proofs."""
-        if self.kind in (EntryKind.AXIOM, EntryKind.LEMMA):
+        if self.kind in CLAUSE_KINDS:
             return EAxiom(self.name)
         return EVar(self.name)
 
@@ -68,36 +74,149 @@ def cohypothesis(name: str, formula: HornFormula) -> Entry:
     return Entry(name, formula, EVar(name), EntryKind.COHYP)
 
 
+def index_key(atom: Atom):
+    """The clause-index key of an atom's first argument: its spine head
+    symbol (a Const or Eigen) with its argument count, or None when the
+    predicate is nullary or the first argument is a variable or has a
+    variable spine head.  A clause head keyed k can only match a goal keyed
+    k; a clause head keyed None may match any goal of its predicate, and a
+    goal keyed None only such a clause."""
+    if not atom.args:
+        return None
+    t = atom.args[0]
+    n = 0
+    while isinstance(t, App):
+        t = t.fun
+        n += 1
+    if isinstance(t, Var):
+        return None
+    return t, n
+
+
+class _ClauseStore:
+    """Append-only list of axiom and lemma entries with their name and
+    (predicate, first-argument key) indexes.  Positions only grow, so every
+    prefix stays valid while later entries are appended."""
+
+    def __init__(self, entries=()):
+        self.entries: list[Entry] = []
+        self.positions: dict[str, int] = {}
+        self.buckets: dict[tuple, list[int]] = {}
+        for e in entries:
+            self.append(e)
+
+    def append(self, entry: Entry):
+        pos = len(self.entries)
+        self.entries.append(entry)
+        self.positions[entry.name] = pos
+        head = entry.formula.head
+        self.buckets.setdefault((head.pred, index_key(head)), []).append(pos)
+
+    def bucket(self, pred: str, key, size: int) -> list[int]:
+        """Positions below `size` filed under (pred, key), ascending."""
+        positions = self.buckets.get((pred, key), [])
+        return positions[: bisect_left(positions, size)]
+
+
 class AxiomEnv:
     """Ordered sequence of named, evidence-backed Horn formulas.
 
-    Environments are not mutated in place; `extended` returns a new one
-    sharing the prefix, so snapshots between lemma rounds stay valid.
+    Axioms and lemmas live in a clause store indexed by predicate and by
+    `index_key` of the head, the head symbol of its first argument; heads
+    whose first argument is a variable or has a variable spine head (as in
+    `Eq (f (Mu f) a)`) go to a per-predicate wildcard bucket.  Clause
+    selection matches only the goal's bucket and the wildcard bucket, and
+    visits them in environment order.
+
+    Environments are not mutated in place.  The store is append-only and
+    shared by an environment and everything extended from it; each
+    environment sees the first `n` stored clauses.  `extended` appends in
+    place when the environment is the store's tip, fast-forwards when the
+    next stored clause is the same entry, and otherwise copies the prefix
+    into a new store.  Hypotheses and cohypotheses stay in a small
+    per-environment tuple and never touch the store.  Extending
+    environments that share a store from two threads at once is not safe;
+    reading them concurrently is.
     """
 
     def __init__(self, entries=()):
-        self.entries: tuple[Entry, ...] = tuple(entries)
-        names = [e.name for e in self.entries]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate entry names in environment")
+        self._store = _ClauseStore()
+        self._size = 0
+        self.assumptions: tuple[Entry, ...] = ()
+        # for each assumption, the number of clauses before it
+        self._marks: tuple[int, ...] = ()
+        self._add(tuple(entries))
 
     def extended(self, *entries: Entry) -> "AxiomEnv":
-        return AxiomEnv(self.entries + entries)
+        env = object.__new__(AxiomEnv)
+        env._store, env._size = self._store, self._size
+        env.assumptions, env._marks = self.assumptions, self._marks
+        env._add(entries)
+        return env
+
+    def _add(self, entries: tuple[Entry, ...]):
+        names = {e.name for e in entries}
+        if len(names) != len(entries) or any(
+            self.lookup(name) is not None for name in names
+        ):
+            raise ValueError("duplicate entry names in environment")
+        for e in entries:
+            if e.kind in CLAUSE_KINDS:
+                self._push(e)
+            else:
+                self.assumptions += (e,)
+                self._marks += (self._size,)
+
+    def _push(self, entry: Entry):
+        store, n = self._store, self._size
+        if n < len(store.entries):
+            if store.entries[n] == entry:
+                self._size = n + 1
+                return
+            store = self._store = _ClauseStore(store.entries[:n])
+        store.append(entry)
+        self._size = n + 1
+
+    @property
+    def entries(self) -> tuple[Entry, ...]:
+        clauses = self._store.entries
+        out: list[Entry] = []
+        start = 0
+        for mark, e in zip(self._marks, self.assumptions):
+            out.extend(clauses[start:mark])
+            out.append(e)
+            start = mark
+        out.extend(clauses[start : self._size])
+        return tuple(out)
 
     def lookup(self, name: str) -> Optional[Entry]:
-        for e in self.entries:
+        pos = self._store.positions.get(name)
+        if pos is not None and pos < self._size:
+            return self._store.entries[pos]
+        for e in self.assumptions:
             if e.name == name:
                 return e
         return None
 
     def clauses(self) -> list[Entry]:
-        return [e for e in self.entries if e.kind in (EntryKind.AXIOM, EntryKind.LEMMA)]
+        return self._store.entries[: self._size]
+
+    def clauses_for(self, goal: Atom) -> list[Entry]:
+        """The axioms and lemmas whose head may match `goal`, oldest first:
+        a superset of those that do, so callers still `match` each."""
+        store, n = self._store, self._size
+        key = index_key(goal)
+        found = store.bucket(goal.pred, None, n)
+        if key is not None:
+            keyed = store.bucket(goal.pred, key, n)
+            found = sorted(found + keyed) if found else keyed
+        return [store.entries[p] for p in found]
 
     def __iter__(self):
         return iter(self.entries)
 
     def __len__(self):
-        return len(self.entries)
+        return self._size + len(self.assumptions)
 
     def __repr__(self):
         return f"AxiomEnv({', '.join(e.name for e in self.entries)})"
@@ -166,9 +285,7 @@ class NewestFirst(ClausePolicy):
 
     def candidates(self, env, goal, guard_depth):
         out = []
-        for e in reversed(env.entries):
-            if e.kind not in (EntryKind.AXIOM, EntryKind.LEMMA):
-                continue
+        for e in reversed(env.clauses_for(goal)):
             s = match(e.formula.head, goal)
             if s is not None:
                 out.append((e, s))
@@ -186,21 +303,21 @@ class CorecPolicy(ClausePolicy):
         cohyps = []
         rest = []
         blocked = False
-        for e in reversed(env.entries):
+        for e in reversed(env.assumptions):
             if e.kind is EntryKind.HYP:
                 if e.formula.head == goal:
                     hyps.append((e, {}))
-            elif e.kind is EntryKind.COHYP:
+            else:
                 s = match(e.formula.head, goal)
                 if s is not None:
                     if guard_depth >= 1:
                         cohyps.append((e, s))
                     else:
                         blocked = True
-            else:
-                s = match(e.formula.head, goal)
-                if s is not None:
-                    rest.append((e, s))
+        for e in reversed(env.clauses_for(goal)):
+            s = match(e.formula.head, goal)
+            if s is not None:
+                rest.append((e, s))
         return hyps + cohyps + rest, blocked
 
 
@@ -245,7 +362,7 @@ def resolve(
 
     def enter(entry: Entry, sigma, depth: int):
         fuel.spend()
-        inc = 1 if entry.kind in (EntryKind.AXIOM, EntryKind.LEMMA) else 0
+        inc = 1 if entry.kind in CLAUSE_KINDS else 0
         pending = [(apply(sigma, b), depth + inc) for b in entry.formula.body]
         stack.append(_Frame(entry.ref(), pending))
 
@@ -413,7 +530,7 @@ class ResolutionTree:
 
 def _unique_clause(env: AxiomEnv, goal: Atom):
     found = []
-    for e in env.clauses():
+    for e in env.clauses_for(goal):
         s = match(e.formula.head, goal)
         if s is not None:
             found.append((e, s))

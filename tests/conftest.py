@@ -11,10 +11,13 @@ from cohorn.syntax import (
     App,
     Atom,
     Const,
+    Eigen,
     HornFormula,
     Term,
     Var,
+    apply,
     fact,
+    free_vars,
     mk_app,
     pair,
 )
@@ -162,3 +165,49 @@ def random_term(rng: random.Random, depth: int, vars_: list[str]) -> Term:
 
 def random_atom(rng: random.Random, arity: int, vars_: list[str]) -> Atom:
     return Atom("P", tuple(random_term(rng, 3, vars_) for _ in range(arity)))
+
+
+# Clause-index shapes: P has arity 2, Q arity 1 and R is nullary.
+INDEX_ARITY = {"P": 2, "Q": 1, "R": 0}
+EIGEN = Eigen("e#1", origin="test")
+
+
+def random_index_term(rng: random.Random, vars_: list[str]) -> Term:
+    """A first argument of any index shape: constructor-headed, a variable,
+    a variable spine head as in `f (Mu f) a`, or headed by an Eigen
+    constant."""
+    roll = rng.random()
+    if roll < 0.15 and vars_:
+        return Var(rng.choice(vars_))
+    if roll < 0.3:
+        return mk_app(Var("f"), App(Mu, Var("f")), Var("a"))
+    if roll < 0.4:
+        return EIGEN if rng.random() < 0.5 else App(EIGEN, random_term(rng, 1, vars_))
+    return random_term(rng, 3, vars_)
+
+
+def random_index_head(rng: random.Random, vars_: list[str]) -> Atom:
+    pred = rng.choice(sorted(INDEX_ARITY))
+    if not INDEX_ARITY[pred]:
+        return Atom(pred)
+    rest = (random_term(rng, 2, vars_) for _ in range(INDEX_ARITY[pred] - 1))
+    return Atom(pred, (random_index_term(rng, vars_), *rest))
+
+
+def random_index_goal(rng: random.Random, heads: list[Atom]) -> Atom:
+    """An instance of one of the heads, with variables bound to ground
+    terms, Eigen constants or opaque subject variables, or else a fresh
+    random head."""
+    if not heads or rng.random() < 0.3:
+        return random_index_head(rng, ["z"])
+    head = rng.choice(heads)
+    sub = {}
+    for v in free_vars(head):
+        roll = rng.random()
+        sub[v] = (
+            Var("z") if roll < 0.2
+            else EIGEN if roll < 0.3
+            else Const("Mu") if v == "f" and roll < 0.6
+            else random_term(rng, 2, [])
+        )
+    return apply(sub, head)

@@ -1,6 +1,22 @@
 import json
+import random
 
-from cohorn.cli import RunConfig, main, run, run_obs, run_trace
+import pytest
+
+from cohorn.cli import RunConfig, Session, main, run, run_obs, run_trace
+from cohorn.corec import ProofConfig
+from cohorn.parser import Decl, SourceModule
+from cohorn.syntax import (
+    Atom,
+    HornFormula,
+    Var,
+    fact,
+    free_vars,
+    match,
+    render_atom,
+    render_horn,
+)
+from conftest import random_index_goal, random_index_head
 
 BUSH_GOLDEN = """\
 Parsing success!
@@ -213,3 +229,77 @@ def test_missing_file_exits_two(tmp_path):
     code, _, err = run(RunConfig(path=str(tmp_path / "nope.asl")))
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--fuel", "0"), ("--depth", "0"), ("--rounds", "0"), ("--obs-check", "-1")],
+)
+def test_check_rejects_out_of_range_bounds(corpus, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(corpus / "pair.asl"), flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
+def test_trace_rejects_zero_fuel(corpus, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", str(corpus / "pair.asl"), "--goal", "Eq Int", "--fuel", "0"])
+    assert exc.value.code == 2
+    assert "argument --fuel" in capsys.readouterr().err
+
+
+def test_obs_rejects_zero_fuel(corpus, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["obs", str(corpus / "pair.asl"), "--goal", "Eq Int", "--fuel", "0"])
+    assert exc.value.code == 2
+    assert "argument --fuel" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# load_checks keeps the warnings of the full pairwise scan
+
+
+def pairwise_warnings(module) -> list[str]:
+    """The O(n^2) reference: every axiom against every earlier one."""
+    out = []
+    axioms = [d.formula for d in module.decls if d.kind == "axiom"]
+    for i, f in enumerate(axioms):
+        for g in axioms[:i]:
+            if f == g:
+                out.append(f"duplicate axiom formula {render_horn(f)}")
+            elif match(f.head, g.head) is not None or match(g.head, f.head) is not None:
+                out.append(
+                    f"overlapping heads: {render_atom(f.head)} and "
+                    f"{render_atom(g.head)}"
+                )
+    return out
+
+
+def test_load_checks_matches_the_pairwise_scan():
+    rng = random.Random(77)
+    total = 0
+    for _ in range(300):
+        formulas = []
+        for _ in range(rng.randint(0, 25)):
+            roll = rng.random()
+            if formulas and roll < 0.15:
+                formulas.append(rng.choice(formulas))  # duplicate
+            elif formulas and roll < 0.4:
+                # an instance of an earlier head: overlaps it
+                heads = [f.head for f in formulas]
+                formulas.append(fact(random_index_goal(rng, heads)))
+            else:
+                head = random_index_head(rng, ["x", "y", "f", "a"])
+                body = (Atom("Q", (Var("x"),)),) if rng.random() < 0.2 else ()
+                if body and "x" not in free_vars(head):
+                    body = ()
+                formulas.append(HornFormula(body, head))
+        decls = tuple(Decl("axiom", f, line) for line, f in enumerate(formulas, 1))
+        module = SourceModule("m", decls)
+        session = Session(module, ProofConfig())
+        session.load_checks()
+        expected = pairwise_warnings(module)
+        assert session.warnings == expected
+        total += len(expected)
+    assert total > 500

@@ -1,15 +1,26 @@
 import random
+import sys
+import threading
+import time
 
 import pytest
 
+from cohorn.evidence import _reducible
 from cohorn.resolve import (
+    NEWEST_FIRST,
     AxiomEnv,
+    CorecPolicy,
+    EntryKind,
     FuelExhausted,
     NodeStatus,
     OverlapError,
     Stuck,
+    _unique_clause,
     axiom,
     build_tree,
+    cohypothesis,
+    hypothesis,
+    lemma,
     resolve,
     step,
     trace,
@@ -24,11 +35,17 @@ from cohorn.syntax import (
     MAtom,
     Var,
     fact,
+    match,
     mk_app,
     mk_eapp,
     pair,
 )
-from conftest import eq, random_terminating_case
+from conftest import (
+    eq,
+    random_index_goal,
+    random_index_head,
+    random_terminating_case,
+)
 
 Int = Const("Int")
 KPAIR_INT_INT = mk_eapp(EAxiom("KPair"), EAxiom("KInt"), EAxiom("KInt"))
@@ -223,3 +240,182 @@ def test_resolve_is_deterministic(phi_hbush):
             first = states
         else:
             assert states == first
+
+
+# ---------------------------------------------------------------------------
+# the clause index agrees with a brute-force scan of the environment
+
+CLAUSE_KINDS = (EntryKind.AXIOM, EntryKind.LEMMA)
+
+
+def brute_newest_first(env, goal):
+    out = []
+    for e in reversed(env.entries):
+        if e.kind in CLAUSE_KINDS:
+            s = match(e.formula.head, goal)
+            if s is not None:
+                out.append((e, s))
+    return out
+
+
+def brute_corec(env, goal, guard_depth):
+    hyps, cohyps, rest, blocked = [], [], [], False
+    for e in reversed(env.entries):
+        if e.kind is EntryKind.HYP:
+            if e.formula.head == goal:
+                hyps.append((e, {}))
+            continue
+        s = match(e.formula.head, goal)
+        if s is None:
+            continue
+        if e.kind is not EntryKind.COHYP:
+            rest.append((e, s))
+        elif guard_depth >= 1:
+            cohyps.append((e, s))
+        else:
+            blocked = True
+    return hyps + cohyps + rest, blocked
+
+
+def brute_unique_names(env, goal):
+    return [
+        e.name
+        for e in env.entries
+        if e.kind in CLAUSE_KINDS and match(e.formula.head, goal) is not None
+    ]
+
+
+def random_index_env(rng):
+    """An environment built by chains of `extended` from random index-shaped
+    heads, with hypotheses and cohypotheses interleaved, plus goals."""
+    heads, entries = [], []
+    for i in range(rng.randint(1, 30)):
+        head = random_index_head(rng, ["x", "y", "f", "a"])
+        heads.append(head)
+        roll = rng.random()
+        if roll < 0.6:
+            entries.append(axiom(f"K{i}", fact(head)))
+        elif roll < 0.8:
+            entries.append(lemma(f"L{i}", fact(head), EAxiom(f"L{i}")))
+        elif roll < 0.9:
+            entries.append(cohypothesis(f"r{i}", fact(head)))
+        else:
+            entries.append(hypothesis(f"b{i}", random_index_goal(rng, heads)))
+    env = AxiomEnv(entries[:2])
+    i = 2
+    while i < len(entries):
+        k = rng.randint(1, 3)
+        env = env.extended(*entries[i : i + k])
+        i += k
+    assert env.entries == tuple(entries)
+    goals = [random_index_goal(rng, heads) for _ in range(20)]
+    goals += [e.formula.head for e in entries if e.kind is EntryKind.HYP]
+    return env, goals
+
+
+def test_clause_index_agrees_with_brute_force_scan():
+    rng = random.Random(2024)
+    policy = CorecPolicy()
+    hits = 0
+    for _ in range(300):
+        env, goals = random_index_env(rng)
+        for goal in goals:
+            expected = brute_newest_first(env, goal)
+            hits += bool(expected)
+            assert NEWEST_FIRST.candidates(env, goal, 0) == (expected, False)
+            for depth in (0, 1):
+                assert policy.candidates(env, goal, depth) == brute_corec(
+                    env, goal, depth
+                )
+            names = brute_unique_names(env, goal)
+            if len(names) > 1:
+                with pytest.raises(OverlapError) as exc:
+                    _unique_clause(env, goal)
+                assert exc.value.names == names
+            else:
+                found = _unique_clause(env, goal)
+                assert (found[0].name if found else None) == (
+                    names[0] if names else None
+                )
+            assert _reducible(env, goal) == bool(names)
+    # the generator must exercise the matching side, not only misses
+    assert hits > 1000
+
+
+def test_branched_snapshots_are_isolated():
+    x = Var("x")
+    base = AxiomEnv([axiom("K0", fact(eq(Int)))])
+    a = axiom("KA", fact(eq(App(Const("List"), x))))
+    b = lemma("KB", fact(eq(App(Const("List"), Int))), EAxiom("KB"))
+    e1 = base.extended(a)
+    e2 = base.extended(b)
+    goal = eq(App(Const("List"), Int))
+    assert [e.name for e, _ in NEWEST_FIRST.candidates(e1, goal, 0)[0]] == ["KA"]
+    assert [e.name for e, _ in NEWEST_FIRST.candidates(e2, goal, 0)[0]] == ["KB"]
+    assert NEWEST_FIRST.candidates(base, goal, 0) == ([], False)
+    assert e1.lookup("KB") is None and e2.lookup("KA") is None
+    assert base.lookup("KA") is None and base.lookup("KB") is None
+    assert e1.entries == (base.entries[0], a)
+    assert e2.entries == (base.entries[0], b)
+    # re-adding the same entry to a snapshot fast-forwards onto the stored
+    # clause; a different entry copies the prefix into a new store
+    again = base.extended(a)
+    assert again._store is e1._store and again.entries == e1.entries
+    assert e2._store is not e1._store
+    # the same name may be reused on another branch
+    other = base.extended(axiom("KA", fact(eq(Const("Unit")))))
+    assert other.lookup("KA").formula == fact(eq(Const("Unit")))
+    assert e1.lookup("KA") is a
+    # duplicate names still raise, on the tip path and on the copy path
+    dup = axiom("K0", fact(eq(Const("Bool"))))
+    with pytest.raises(ValueError):
+        e1.extended(dup)  # e1 is its store's tip
+    with pytest.raises(ValueError):
+        base.extended(dup)  # base is not
+    with pytest.raises(ValueError):
+        e2.extended(lemma("KB", fact(eq(Int)), EAxiom("KB")))
+    with pytest.raises(ValueError):
+        base.extended(a, axiom("KA", fact(eq(Int))))
+    assert e1.entries == (base.entries[0], a)
+
+
+def test_snapshots_read_safely_while_the_store_grows():
+    # one writer extends the store's tip while readers query an older
+    # snapshot of the same store; a reader must never see a later clause
+    x = Var("x")
+    base = AxiomEnv([axiom("K0", fact(eq(App(Const("List"), x))))])
+    goal = eq(App(Const("List"), Int))
+    expected = NEWEST_FIRST.candidates(base, goal, 0)
+    stop = threading.Event()
+    errors = []
+
+    def write():
+        env = base
+        i = 1
+        while not stop.is_set():
+            env = env.extended(axiom(f"K{i}", fact(eq(App(Const("List"), x)))))
+            i += 1
+
+    def read():
+        while not stop.is_set():
+            if NEWEST_FIRST.candidates(base, goal, 0) != expected:
+                errors.append("reader saw a clause beyond its snapshot")
+                stop.set()
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    threads = [threading.Thread(target=write)] + [
+        threading.Thread(target=read) for _ in range(3)
+    ]
+    try:
+        for t in threads:
+            t.start()
+        time.sleep(0.5)
+    finally:
+        stop.set()
+        for t in threads:
+            t.join(timeout=10)
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(base) == 1
