@@ -73,8 +73,8 @@ class RunConfig:
     def __post_init__(self):
         if self.fuel <= 0 or self.tree_depth <= 0 or self.max_lemma_rounds <= 0:
             raise ValueError("all bounds must be positive")
-        if self.obs_check is not None and self.obs_check < 0:
-            raise ValueError("obs check count must be nonnegative")
+        if self.obs_check is not None and self.obs_check < 1:
+            raise ValueError("obs check count must be positive")
 
     def proof_config(self) -> ProofConfig:
         return ProofConfig(
@@ -534,15 +534,13 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     check.add_argument("--rounds", type=_positive_int, default=3)
     check.add_argument("--trace", action="store_true")
     check.add_argument("--explain", action="store_true")
-    check.add_argument(
-        "--obs-check", type=_int_at_least(0), default=None, metavar="N"
-    )
+    check.add_argument("--obs-check", type=_positive_int, default=None, metavar="N")
     check.add_argument("--json", action="store_true")
 
     tr = sub.add_parser("trace", help="dump the small-step resolution trace of a goal")
     tr.add_argument("file")
     tr.add_argument("--goal", required=True)
-    tr.add_argument("--steps", type=int, default=100)
+    tr.add_argument("--steps", type=_int_at_least(0), default=100)
     tr.add_argument("--fuel", type=_positive_int, default=10_000)
 
     obs = sub.add_parser(
@@ -550,7 +548,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     )
     obs.add_argument("file")
     obs.add_argument("--goal", required=True)
-    obs.add_argument("-n", type=int, default=3)
+    obs.add_argument("-n", type=_positive_int, default=3)
     obs.add_argument("--fuel", type=_positive_int, default=10_000)
     return p
 

@@ -6,9 +6,10 @@ fixed point, and retry the original goal with the lemma in scope.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
-from .evidence import TypingContext, hnf, type_check  # noqa: F401  (hnf re-exported)
+from .evidence import TypingContext, hnf, type_check
 from .loopdetect import (
     AbstractTree,
     CandidateLemma,
@@ -57,11 +58,8 @@ class ProofConfig:
     tree_depth: int = 50
     tree_nodes: int = 10_000
     abstract_fuel: int = 1_000
-    guard_required: bool = True
 
     def __post_init__(self):
-        if not self.guard_required:
-            raise ValueError("guardedness cannot be disabled")
         for name in ("fuel", "max_lemma_rounds", "tree_depth", "tree_nodes"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -139,9 +137,14 @@ class LoopAnalysis:
     """What the divergence analysis of one round saw, kept for --explain."""
 
     tree: ResolutionTree
-    triples: list[CriticalTriple]
     closed: Optional[ClosedSubtree]
     abstract: Optional[AbstractTree]
+
+    @cached_property
+    def triples(self) -> list[CriticalTriple]:
+        """Every critical triple of the tree, computed on first use: only
+        --explain reads them."""
+        return find_critical_triples(self.tree)
 
 
 @dataclass
@@ -223,16 +226,15 @@ def auto(
             tree = build_tree(cur, goal.head, cfg.tree_depth, cfg.tree_nodes)
         except OverlapError as ex:
             return AutoReport(goal, INCONCLUSIVE, reason=str(ex))
-        triples = find_critical_triples(tree)
         cs = closed_subtree(tree)
         if isinstance(cs, NoClosedSubtree):
-            analysis = LoopAnalysis(tree, triples, None, None)
+            analysis = LoopAnalysis(tree, None, None)
             outcome = INCONCLUSIVE if cs.inconclusive else NO_LOOP_FOUND
             return AutoReport(goal, outcome, reason=cs.reason, analysis=analysis)
         try:
             at = abstract_representation(cs, cur, cfg.abstract_fuel)
         except FuelExhausted:
-            analysis = LoopAnalysis(tree, triples, cs, None)
+            analysis = LoopAnalysis(tree, cs, None)
             return AutoReport(
                 goal,
                 INCONCLUSIVE,
@@ -241,7 +243,7 @@ def auto(
             )
         except OverlapError as ex:
             return AutoReport(goal, INCONCLUSIVE, reason=str(ex))
-        analysis = LoopAnalysis(tree, triples, cs, at)
+        analysis = LoopAnalysis(tree, cs, at)
         cand, why = candidate_lemma(at, cur)
         if cand is None:
             return AutoReport(goal, NO_LOOP_FOUND, reason=why, analysis=analysis)

@@ -413,7 +413,10 @@ def check_obs_equiv(
 ) -> tuple[bool, Optional[str]]:
     """Observational equivalence up to n iterations: the m-th observational
     and corecursive contexts must coincide syntactically, and the m-th mu
-    application must carry C_i^m[D_i] for each hypothesis."""
+    application must carry C_i^m[D_i] for each hypothesis.  Raises
+    ValueError when n < 1, which would compare nothing."""
+    if n < 1:
+        raise ValueError("observational equivalence needs n >= 1")
     obs = observational_points(loop, n, fuel)
     cor = corecursive_points(e, loop.hypotheses, n, fuel)
     for m in range(1, n + 1):

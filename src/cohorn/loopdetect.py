@@ -99,21 +99,47 @@ def _failing_projections(tree: ResolutionTree) -> dict[tuple[str, int], Projecti
     return out
 
 
+def _repeat_chains(tree: ResolutionTree, failing: dict):
+    """One breadth-first pass over the expanded nodes.  Yields (lower,
+    chain) for every node that has an ancestor applying the same clause
+    whose edge toward it carries a Paterson-failing projection; `chain`
+    holds those ancestors' depths as a persistent stack (depth, shallowest
+    depth, rest), deepest first.  Each node carries one such stack per
+    clause, shared with its parent unless its own edge is failing."""
+    queue: deque = deque([((), {})])
+    while queue:
+        pos, chains = queue.popleft()
+        name = tree.clause_at.get(pos)
+        if name is None:
+            continue
+        chain = chains.get(name)
+        if chain is not None:
+            yield pos, chain
+        depth = len(pos)
+        for i in range(1, len(tree.formulas[name].body) + 1):
+            if (name, i) in failing:
+                below = dict(chains)
+                below[name] = (depth, depth if chain is None else chain[1], chain)
+                queue.append((pos + (i,), below))
+            else:
+                queue.append((pos + (i,), chains))
+
+
 def find_critical_triples(tree: ResolutionTree) -> list[CriticalTriple]:
     """All ancestor/descendant pairs whose equal-index edges carry the same
-    Paterson-failing projection, in breadth-first order of the lower node.
-    The descendant may sit directly below the ancestor's edge."""
+    Paterson-failing projection, in breadth-first order of the lower node
+    and then of the upper.  The descendant may sit directly below the
+    ancestor's edge.  Costs O(nodes + triples)."""
     failing = _failing_projections(tree)
     out = []
-    for lower in _bfs_order(tree.clause_at):
+    for lower, chain in _repeat_chains(tree, failing):
         name = tree.clause_at[lower]
-        for cut in range(len(lower)):
-            upper = lower[:cut]
-            if tree.clause_at.get(upper) != name:
-                continue
-            proj = failing.get((name, lower[cut]))
-            if proj is not None:
-                out.append(CriticalTriple(proj, upper, lower))
+        depths = []
+        while chain is not None:
+            depths.append(chain[0])
+            chain = chain[2]
+        for cut in reversed(depths):
+            out.append(CriticalTriple(failing[(name, lower[cut])], lower[:cut], lower))
     return out
 
 
@@ -156,18 +182,29 @@ def _is_critical_with(
 def closed_subtree(tree: ResolutionTree) -> Union[ClosedSubtree, NoClosedSubtree]:
     """Prune the tree below the shallowest critical-triple upper.
 
-    Expansion stops at success leaves and at critical descendants of that
-    upper.  Returns NoClosedSubtree when there is no critical triple, when
-    a branch reaches the truncation frontier before closing, or when a
-    branch ends irreducible without forming a triple.
+    The root is chosen in one breadth-first pass that carries, per node,
+    the depths of same-clause ancestors whose edge toward it fails
+    Paterson's condition (`_repeat_chains`): the shallowest of them is the
+    node's best upper, and the root is the least such upper in
+    breadth-first order, so no triple is built and the pass stops as soon
+    as the tree root itself qualifies.  Expansion then stops at success
+    leaves and at critical descendants of that root.  Returns
+    NoClosedSubtree when there is no critical triple, when a branch reaches
+    the truncation frontier before closing, or when a branch ends
+    irreducible without forming a triple.
     """
-    triples = find_critical_triples(tree)
-    if not triples:
+    failing = _failing_projections(tree)
+    root: Optional[Path] = None
+    for lower, chain in _repeat_chains(tree, failing):
+        upper = lower[: chain[1]]
+        if root is None or (len(upper), upper) < (len(root), root):
+            root = upper
+            if not root:
+                break
+    if root is None:
         return NoClosedSubtree(
             "no critical triple in the tree", inconclusive=tree.truncated
         )
-    failing = _failing_projections(tree)
-    root = min((t.upper for t in triples), key=lambda p: (len(p), p))
     positions: list[Path] = []
     critical: list[Path] = []
     stack = [root]

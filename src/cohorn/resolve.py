@@ -333,9 +333,26 @@ class _Frame:
     ref: Optional[Evidence]  # None marks the root frame
     pending: list[tuple[Atom, int]]  # (subgoal, guard depth), leftmost first
     done: list[Evidence] = field(default_factory=list)
+    goal: Optional[tuple[Atom, int]] = None  # what the frame proves, at what depth
 
     def snapshot(self) -> "_Frame":
-        return _Frame(self.ref, list(self.pending), list(self.done))
+        return _Frame(self.ref, list(self.pending), list(self.done), self.goal)
+
+
+FIRST_CYCLE_CHECK = 16
+
+
+def _path_repeats(stack: list[_Frame]) -> bool:
+    """True when two frames on the derivation path prove the same atom at
+    guard depths that select the same candidates: equal, or both >= 1."""
+    seen = set()
+    for frame in stack[1:]:
+        atom, depth = frame.goal
+        key = (atom, min(depth, 1))
+        if key in seen:
+            return True
+        seen.add(key)
+    return False
 
 
 def resolve(
@@ -351,6 +368,20 @@ def resolve(
     fuel unit per clause application.  Raises FuelExhausted when the budget
     runs out, Stuck when every alternative fails, and GuardViolation when
     failure is due only to the guardedness restriction.
+
+    Cycle rule: FuelExhausted is also raised as soon as the current
+    derivation path proves one atom twice at guard depths that are equal or
+    both >= 1, since the policies offer the same candidates at such depths.
+    Subgoals share no variables, so the search below the repeat replays the
+    search below its first occurrence: it meets the atom again, and the
+    continuation that rejected the first occurrence's solutions rejects the
+    repeat's.  No answer or failure can follow, and with any finite budget
+    the run would end in FuelExhausted anyway.  The path is checked when the
+    count of clause applications reaches 16, 32, 64, ..., so the checks cost
+    amortised O(1) per application; terms cache their hashes, so hashing a
+    path costs only its newly built terms.  The rule assumes a policy whose
+    candidates depend on the guard depth only through `depth >= 1`, as
+    `NewestFirst` and `CorecPolicy` do.
     """
     if isinstance(fuel, int):
         fuel = Fuel(fuel)
@@ -359,12 +390,20 @@ def resolve(
     choices: list[tuple[list, int, list[_Frame]]] = []
     stuck_at: Optional[Atom] = None
     saw_blocked = False
+    applied = 0
+    next_check = FIRST_CYCLE_CHECK
 
-    def enter(entry: Entry, sigma, depth: int):
+    def enter(atom: Atom, depth: int, entry: Entry, sigma):
+        nonlocal applied, next_check
         fuel.spend()
         inc = 1 if entry.kind in CLAUSE_KINDS else 0
         pending = [(apply(sigma, b), depth + inc) for b in entry.formula.body]
-        stack.append(_Frame(entry.ref(), pending))
+        stack.append(_Frame(entry.ref(), pending, goal=(atom, depth)))
+        applied += 1
+        if applied == next_check:
+            next_check *= 2
+            if _path_repeats(stack):
+                raise FuelExhausted()
 
     while True:
         top = stack[-1]
@@ -384,7 +423,7 @@ def resolve(
                 snap[-1].pending.insert(0, (atom, depth))
                 choices.append((cands, 1, snap))
             entry, sigma = cands[0]
-            enter(entry, sigma, depth)
+            enter(atom, depth, entry, sigma)
             continue
         # dead end: chronological backtracking
         if stuck_at is None and not blocked:
@@ -397,7 +436,7 @@ def resolve(
                     choices.append((cands, i + 1, snap))
                 atom, depth = stack[-1].pending.pop(0)
                 entry, sigma = cands[i]
-                enter(entry, sigma, depth)
+                enter(atom, depth, entry, sigma)
                 break
         else:
             if saw_blocked and stuck_at is None:

@@ -46,10 +46,36 @@ class Eigen:
         return self.name
 
 
+class _CachedHash:
+    """Mixin for frozen dataclasses that keeps the field-tuple hash after
+    the first call, so hashing a term that shares subterms already hashed
+    costs only its new nodes.  The cache stays out of pickled and copied
+    state: string hashes differ between processes."""
+
+    _hash = None
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash(self._key())
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+
 @dataclass(frozen=True)
-class App:
+class App(_CachedHash):
     fun: "Term"
     arg: "Term"
+
+    __hash__ = _CachedHash.__hash__  # dataclass would replace an inherited one
+
+    def _key(self):
+        return self.fun, self.arg
 
     def __repr__(self):
         return render_term(self)
@@ -86,9 +112,14 @@ def spine_term(t: Term) -> tuple[Term, list[Term]]:
 
 
 @dataclass(frozen=True)
-class Atom:
+class Atom(_CachedHash):
     pred: str
     args: tuple[Term, ...] = ()
+
+    __hash__ = _CachedHash.__hash__
+
+    def _key(self):
+        return self.pred, self.args
 
     def __repr__(self):
         return render_atom(self)

@@ -211,3 +211,66 @@ def random_index_goal(rng: random.Random, heads: list[Atom]) -> Atom:
             else random_term(rng, 2, [])
         )
     return apply(sub, head)
+
+
+# Looping programs: unary predicates P and Q over the `random_term`
+# constructors, with bodies that repeat the head's argument (exact cycles
+# through the predicates), strip it to a variable, or grow it under F.
+LOOP_PREDS = ("P", "Q")
+LOOP_CTORS = (("F", 1), ("G", 1), ("Pair", 2), ("Int", 0), ("Unit", 0))
+
+
+def random_loop_body(rng: random.Random, head: Atom) -> tuple[Atom, ...]:
+    """Zero to two body atoms over the head's variables only."""
+    hv = free_vars(head)
+    body = []
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        roll = rng.random()
+        if roll < 0.3:
+            t = head.args[0]
+        elif roll < 0.55 and hv:
+            t = Var(rng.choice(hv))
+        elif roll < 0.8 and hv:
+            t = App(Const("F"), Var(rng.choice(hv)))
+        else:
+            t = random_term(rng, 1, hv)
+        body.append(Atom(rng.choice(LOOP_PREDS), (t,)))
+    return tuple(body)
+
+
+def random_loop_clause(rng: random.Random) -> HornFormula:
+    """A clause whose head may overlap others: any `random_term` pattern,
+    variables included."""
+    head = Atom(rng.choice(LOOP_PREDS), (random_term(rng, 2, ["x", "y"]),))
+    return HornFormula(random_loop_body(rng, head), head)
+
+
+def random_looping_env(rng: random.Random, overlapping: bool) -> AxiomEnv:
+    """Two to six random looping clauses, whose heads may overlap; or,
+    without `overlapping`, four to nine whose heads are distinct
+    constructors applied to distinct variables, so no two match one goal."""
+    if overlapping:
+        formulas = [random_loop_clause(rng) for _ in range(rng.randint(2, 6))]
+    else:
+        shapes = [(p, c) for p in LOOP_PREDS for c in LOOP_CTORS]
+        formulas = []
+        for pred, (ctor, arity) in rng.sample(shapes, rng.randint(4, 9)):
+            arg = mk_app(Const(ctor), *(Var(v) for v in ("x", "y")[:arity]))
+            head = Atom(pred, (arg,))
+            formulas.append(HornFormula(random_loop_body(rng, head), head))
+    return AxiomEnv([axiom(f"K{i}", f) for i, f in enumerate(formulas)])
+
+
+def random_loop_term(rng: random.Random, depth: int) -> Term:
+    """A ground term over the looping programs' constructors."""
+    ctors = LOOP_CTORS if depth > 0 else [c for c in LOOP_CTORS if not c[1]]
+    name, arity = rng.choice(ctors)
+    return mk_app(Const(name), *(random_loop_term(rng, depth - 1) for _ in range(arity)))
+
+
+def random_loop_goal(rng: random.Random, env: AxiomEnv) -> Atom:
+    """A ground instance of a clause head, or a ground random atom."""
+    if rng.random() < 0.3:
+        return Atom(rng.choice(LOOP_PREDS), (random_loop_term(rng, 3),))
+    head = rng.choice([e.formula.head for e in env])
+    return apply({v: random_loop_term(rng, 2) for v in free_vars(head)}, head)

@@ -233,7 +233,13 @@ def test_missing_file_exits_two(tmp_path):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--fuel", "0"), ("--depth", "0"), ("--rounds", "0"), ("--obs-check", "-1")],
+    [
+        ("--fuel", "0"),
+        ("--depth", "0"),
+        ("--rounds", "0"),
+        ("--obs-check", "0"),
+        ("--obs-check", "-1"),
+    ],
 )
 def test_check_rejects_out_of_range_bounds(corpus, capsys, flag, value):
     with pytest.raises(SystemExit) as exc:
@@ -247,6 +253,27 @@ def test_trace_rejects_zero_fuel(corpus, capsys):
         main(["trace", str(corpus / "pair.asl"), "--goal", "Eq Int", "--fuel", "0"])
     assert exc.value.code == 2
     assert "argument --fuel" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_obs_rejects_a_count_below_one(corpus, capsys, n):
+    # with n < 1 nothing would be compared, yet "equivalent: yes" was printed
+    with pytest.raises(SystemExit) as exc:
+        main(["obs", str(corpus / "evenodd.asl"), "--goal", "Eq (OddList Int)", "-n", n])
+    assert exc.value.code == 2
+    assert "argument -n" in capsys.readouterr().err
+
+
+def test_trace_rejects_negative_steps(corpus, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", str(corpus / "pair.asl"), "--goal", "Eq Int", "--steps", "-1"])
+    assert exc.value.code == 2
+    assert "argument --steps" in capsys.readouterr().err
+
+
+def test_run_config_rejects_an_obs_count_below_one(corpus):
+    with pytest.raises(ValueError):
+        RunConfig(path=str(corpus / "evenodd.asl"), obs_check=0)
 
 
 def test_obs_rejects_zero_fuel(corpus, capsys):

@@ -8,11 +8,10 @@ from cohorn.corec import (
     PROVEN,
     ProofConfig,
     auto,
-    hnf,
     prove_horn,
     wf_check,
 )
-from cohorn.evidence import type_check
+from cohorn.evidence import hnf, type_check
 from cohorn.resolve import AxiomEnv, Stuck, axiom, lemma, resolve
 from cohorn.syntax import (
     App,
@@ -312,7 +311,3 @@ def test_hnf():
     )
     assert hnf(body)
 
-
-def test_proof_config_guard_cannot_be_disabled():
-    with pytest.raises(ValueError):
-        ProofConfig(guard_required=False)

@@ -274,10 +274,13 @@ def test_check_obs_equiv_hptree(phi_hptree):
     assert ok, why
 
 
-def test_check_obs_equiv_trivial_at_zero(phi_hptree):
+def test_check_obs_equiv_rejects_n_below_one(phi_hptree):
+    # n < 1 compares nothing, so it must not read as "equivalent"
     loop = hptree_loop(phi_hptree)
-    ok, _ = check_obs_equiv(phi_hptree, loop, hptree_evidence(), 0)
-    assert ok
+    assert check_obs_equiv(phi_hptree, loop, hptree_evidence(), 1) == (True, None)
+    for n in (0, -2):
+        with pytest.raises(ValueError):
+            check_obs_equiv(phi_hptree, loop, hptree_evidence(), n)
 
 
 def test_check_obs_equiv_rejects_wrong_evidence(phi_hptree):

@@ -1,10 +1,15 @@
+import pickle
 import random
 from collections import Counter
 
 from cohorn.loopdetect import (
     ClosedSubtree,
+    CriticalTriple,
     NoClosedSubtree,
     Projection,
+    _bfs_order,
+    _failing_projections,
+    _is_critical_with,
     abstract_representation,
     candidate_lemma,
     closed_subtree,
@@ -25,7 +30,7 @@ from cohorn.syntax import (
     symbol_multiset,
     var_multiset,
 )
-from conftest import eq, random_terminating_case
+from conftest import eq, random_loop_goal, random_looping_env, random_terminating_case
 
 Int = Const("Int")
 x, y, a, h = Var("x"), Var("y"), Var("a"), Var("h")
@@ -266,3 +271,92 @@ def test_candidate_restating_a_clause_is_discarded(phi_hptree):
     cand, why = candidate_lemma(at, already)
     assert cand is None
     assert "restates" in why
+
+
+# ---------------------------------------------------------------------------
+# the one-pass analysis agrees with the O(nodes x depth) scan
+
+
+def reference_triples(tree):
+    """Every ancestor of every expanded node checked in turn."""
+    failing = _failing_projections(tree)
+    out = []
+    for lower in _bfs_order(tree.clause_at):
+        name = tree.clause_at[lower]
+        for cut in range(len(lower)):
+            upper = lower[:cut]
+            if tree.clause_at.get(upper) != name:
+                continue
+            proj = failing.get((name, lower[cut]))
+            if proj is not None:
+                out.append(CriticalTriple(proj, upper, lower))
+    return out
+
+
+def reference_closed_subtree(tree):
+    """The root read off the full triple list."""
+    triples = reference_triples(tree)
+    if not triples:
+        return NoClosedSubtree(
+            "no critical triple in the tree", inconclusive=tree.truncated
+        )
+    failing = _failing_projections(tree)
+    root = min((t.upper for t in triples), key=lambda p: (len(p), p))
+    positions, critical = [], []
+    stack = [root]
+    while stack:
+        pos = stack.pop()
+        positions.append(pos)
+        if pos != root and _is_critical_with(tree, failing, root, pos):
+            critical.append(pos)
+            continue
+        st = tree.status[pos]
+        if st is NodeStatus.SUCCESS:
+            continue
+        if st is NodeStatus.UNEXPANDED:
+            return NoClosedSubtree(
+                f"truncation frontier reached at {pos} before the subtree closed",
+                inconclusive=True,
+            )
+        if st is NodeStatus.STUCK:
+            return NoClosedSubtree(
+                f"branch ends irreducible at {tree.nodes[pos]} "
+                "without forming a critical triple",
+                inconclusive=False,
+            )
+        stack.extend(reversed(tree.children(pos)))
+    return ClosedSubtree(tree, root, _bfs_order(positions), _bfs_order(critical))
+
+
+def test_one_pass_analysis_agrees_with_the_full_scan():
+    rng = random.Random(11)
+    kinds = Counter()
+    triples = 0
+    for _ in range(1500):
+        env = random_looping_env(rng, overlapping=False)
+        goal = random_loop_goal(rng, env)
+        tree = build_tree(env, goal, depth_bound=rng.randint(3, 12))
+        expected = reference_triples(tree)
+        assert find_critical_triples(tree) == expected
+        triples += len(expected)
+        got = closed_subtree(tree)
+        assert got == reference_closed_subtree(tree)
+        if isinstance(got, ClosedSubtree):
+            kinds["root <>" if got.root == () else "inner root"] += 1
+        else:
+            kinds["inconclusive" if got.inconclusive else "no loop"] += 1
+        kinds["truncated"] += tree.truncated
+    assert min(kinds.values()) >= 20, kinds
+    assert triples > 1000
+
+
+def test_pickled_terms_carry_no_cached_hash():
+    term = mk_app(Const("F"), Var("x"), pair(Int, Int))
+    atom = eq(term)
+    hash(atom)
+    assert "_hash" in vars(term) and "_hash" in vars(atom)
+    for obj in (term, atom):
+        assert "_hash" not in obj.__reduce_ex__(2)[2]
+        copy = pickle.loads(pickle.dumps(obj))
+        assert copy == obj and "_hash" not in vars(copy)
+        assert hash(copy) == hash(obj)

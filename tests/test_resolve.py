@@ -11,7 +11,9 @@ from cohorn.resolve import (
     AxiomEnv,
     CorecPolicy,
     EntryKind,
+    Fuel,
     FuelExhausted,
+    GuardViolation,
     NodeStatus,
     OverlapError,
     Stuck,
@@ -34,6 +36,7 @@ from cohorn.syntax import (
     HornFormula,
     MAtom,
     Var,
+    apply,
     fact,
     match,
     mk_app,
@@ -44,6 +47,10 @@ from conftest import (
     eq,
     random_index_goal,
     random_index_head,
+    random_loop_body,
+    random_loop_clause,
+    random_loop_goal,
+    random_looping_env,
     random_terminating_case,
 )
 
@@ -419,3 +426,132 @@ def test_snapshots_read_safely_while_the_store_grows():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert len(base) == 1
+
+
+# ---------------------------------------------------------------------------
+# the cycle rule never changes what resolve returns or raises
+
+
+class _RefFrame:
+    def __init__(self, ref, pending, done=None):
+        self.ref, self.pending, self.done = ref, pending, done or []
+
+    def snapshot(self):
+        return _RefFrame(self.ref, list(self.pending), list(self.done))
+
+
+def reference_resolve(env, goal, fuel, policy=NEWEST_FIRST, guard_depth=0):
+    """`resolve` without the cycle rule: it always burns its whole budget
+    on a divergent search."""
+    stack = [_RefFrame(None, [(goal, guard_depth)])]
+    choices = []
+    stuck_at = None
+    saw_blocked = False
+
+    def enter(entry, sigma, depth):
+        fuel.spend()
+        inc = 1 if entry.kind in CLAUSE_KINDS else 0
+        pending = [(apply(sigma, b), depth + inc) for b in entry.formula.body]
+        stack.append(_RefFrame(entry.ref(), pending))
+
+    while True:
+        top = stack[-1]
+        if not top.pending:
+            stack.pop()
+            ev = top.done[0] if top.ref is None else mk_eapp(top.ref, *top.done)
+            if not stack:
+                return ev
+            stack[-1].done.append(ev)
+            continue
+        atom, depth = top.pending.pop(0)
+        cands, blocked = policy.candidates(env, atom, depth)
+        saw_blocked = saw_blocked or blocked
+        if cands:
+            if len(cands) > 1:
+                snap = [f.snapshot() for f in stack]
+                snap[-1].pending.insert(0, (atom, depth))
+                choices.append((cands, 1, snap))
+            enter(*cands[0], depth)
+            continue
+        if stuck_at is None and not blocked:
+            stuck_at = atom
+        while choices:
+            cands, i, snap = choices.pop()
+            if i < len(cands):
+                stack = [f.snapshot() for f in snap]
+                if i + 1 < len(cands):
+                    choices.append((cands, i + 1, snap))
+                atom, depth = stack[-1].pending.pop(0)
+                enter(*cands[i], depth)
+                break
+        else:
+            if saw_blocked and stuck_at is None:
+                raise GuardViolation(goal)
+            raise Stuck(stuck_at if stuck_at is not None else goal)
+
+
+def outcome(run):
+    try:
+        return "evidence", run()
+    except (Stuck, GuardViolation) as ex:
+        return type(ex).__name__, ex.goal
+    except FuelExhausted:
+        return "FuelExhausted", None
+
+
+def test_cycle_rule_tells_an_unguarded_atom_from_its_guarded_repeat():
+    # P n at depth 0 comes back as P n at depth 2, where the cohypothesis
+    # Z x => P x is offered; proving Z n takes more than 16 applications, so
+    # a checkpoint sees both P n frames on the path
+    x, n = Var("x"), Const("O")
+    for _ in range(20):
+        n = App(Const("S"), n)
+    p = lambda t: Atom("P", (t,))
+    q = lambda t: Atom("Q", (t,))
+    z = lambda t: Atom("Z", (t,))
+    env = AxiomEnv(
+        [
+            axiom("KP", HornFormula((q(x),), p(x))),
+            axiom("KQ", HornFormula((p(x),), q(x))),
+            axiom("KS", HornFormula((z(x),), z(App(Const("S"), x)))),
+            axiom("KO", fact(z(Const("O")))),
+            cohypothesis("r", HornFormula((z(x),), p(x))),
+        ]
+    )
+    ev = resolve(env, p(n), 100, CorecPolicy())
+    assert ev == reference_resolve(env, p(n), Fuel(100), CorecPolicy())
+    with pytest.raises(FuelExhausted):  # without the cohypothesis: a cycle
+        resolve(env, p(n), 100)
+
+
+def test_cycle_rule_agrees_with_the_full_fuel_burn():
+    rng = random.Random(5)
+    seen = {"evidence": 0, "Stuck": 0, "GuardViolation": 0, "FuelExhausted": 0}
+    cut_short = 0
+    for _ in range(24):
+        env = random_looping_env(rng, overlapping=True)
+        # the corecursive setting: a cohypothesis and hypotheses in scope; a
+        # cohypothesis with a variable head is blocked at every root goal
+        co = random_loop_clause(rng)
+        if rng.random() < 0.5:
+            head = Atom(co.head.pred, (Var("x"),))
+            co = HornFormula(random_loop_body(rng, head), head)
+        work = env.extended(
+            cohypothesis("r", co),
+            hypothesis("b0", random_loop_goal(rng, env)),
+            hypothesis("b1", random_loop_goal(rng, env)),
+        )
+        for _ in range(4):
+            goal = random_loop_goal(rng, env)
+            for e, policy in ((env, NEWEST_FIRST), (work, CorecPolicy())):
+                for budget in (40, 150, 400):
+                    ref_fuel, new_fuel = Fuel(budget), Fuel(budget)
+                    expected = outcome(
+                        lambda: reference_resolve(e, goal, ref_fuel, policy)
+                    )
+                    got = outcome(lambda: resolve(e, goal, new_fuel, policy))
+                    assert got == expected, (e, goal, policy, budget)
+                    seen[got[0]] += 1
+                    cut_short += new_fuel.remaining > max(ref_fuel.remaining, 0)
+    assert min(seen.values()) >= 10, seen
+    assert cut_short >= 50, cut_short
