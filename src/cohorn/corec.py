@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
-from .evidence import TypingContext, hnf, type_check
+from .evidence import hnf, type_check
 from .loopdetect import (
     AbstractTree,
     CandidateLemma,
@@ -51,13 +51,16 @@ from .syntax import (
 )
 
 
+# the unfolding budget of the abstract representation
+ABSTRACT_FUEL = 1_000
+
+
 @dataclass(frozen=True)
 class ProofConfig:
     fuel: int = 10_000
     max_lemma_rounds: int = 3
     tree_depth: int = 50
     tree_nodes: int = 10_000
-    abstract_fuel: int = 1_000
 
     def __post_init__(self):
         for name in ("fuel", "max_lemma_rounds", "tree_depth", "tree_nodes"):
@@ -87,6 +90,7 @@ def prove_horn(
     mu-wrapped exactly when the coinductive hypothesis was used, in which
     case the body is checked to be head-normal.
 
+    The result is type-checked against `env` before it is returned.
     Raises GuardViolation, FuelExhausted or Stuck on failure.
     """
     mu_name = _fresh_binder(env, "r")
@@ -112,13 +116,18 @@ def prove_horn(
         result: Evidence = EMu(mu_name, body)
     else:
         result = body
-    ok, log = type_check(TypingContext.from_env(env), result, goal)
+    _check_proof(env, result, goal)
+    return result
+
+
+def _check_proof(env: AxiomEnv, ev: Evidence, goal: HornFormula):
+    """The independent check every proof passes once, where it is made."""
+    ok, log = type_check(env, ev, goal)
     if not ok:
         raise AssertionError(
-            f"internal error: evidence for {render_horn(goal)} does not "
+            f"internal error: proof of {render_horn(goal)} does not "
             f"type-check: {log[-1] if log else ''}"
         )
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -156,15 +165,6 @@ class AutoReport:
     candidate: Optional[CandidateLemma] = None
     reason: str = ""
     analysis: Optional[LoopAnalysis] = None
-
-
-def _check_proof(env: AxiomEnv, ev: Evidence, goal: HornFormula):
-    ok, log = type_check(TypingContext.from_env(env), ev, goal)
-    if not ok:
-        raise AssertionError(
-            f"internal error: proof of {render_horn(goal)} does not "
-            f"type-check: {log[-1] if log else ''}"
-        )
 
 
 def auto(
@@ -232,7 +232,7 @@ def auto(
             outcome = INCONCLUSIVE if cs.inconclusive else NO_LOOP_FOUND
             return AutoReport(goal, outcome, reason=cs.reason, analysis=analysis)
         try:
-            at = abstract_representation(cs, cur, cfg.abstract_fuel)
+            at = abstract_representation(cs, cur, ABSTRACT_FUEL)
         except FuelExhausted:
             analysis = LoopAnalysis(tree, cs, None)
             return AutoReport(
@@ -264,18 +264,20 @@ def auto(
 
 
 def wf_check(env: AxiomEnv) -> tuple[bool, list[str]]:
-    """Well-formedness of an environment: every proven-lemma entry's
-    evidence must type-check at its formula against the entries before it;
-    axioms and hypotheses pass trivially."""
+    """Well-formedness of an environment a library caller built: every
+    proven-lemma entry's evidence must type-check at its formula against
+    the entries before it; axioms and hypotheses pass trivially.  Proofs
+    made by `prove_horn` and `auto` were already checked where they were
+    made."""
     failures = []
-    ctx = TypingContext()
+    prefix = AxiomEnv()
     for entry in env:
         if entry.kind.name == "LEMMA":
-            ok, log = type_check(ctx, entry.evidence, entry.formula)
+            ok, log = type_check(prefix, entry.evidence, entry.formula)
             if not ok:
                 failures.append(
                     f"{entry.name} : {render_horn(entry.formula)} -- "
                     f"{log[-1] if log else 'no trace'}"
                 )
-        ctx = ctx.extended(entry.name, entry.formula)
+        prefix = prefix.extended(entry)
     return not failures, failures

@@ -63,31 +63,16 @@ def hnf(e: Mixed) -> bool:
 # Typing
 
 
-@dataclass(frozen=True)
-class TypingContext:
-    assumptions: tuple[tuple[str, HornFormula], ...] = ()
-
-    @classmethod
-    def from_env(cls, env: AxiomEnv) -> "TypingContext":
-        return cls(tuple((e.name, e.formula) for e in env))
-
-    def extended(self, name: str, formula: HornFormula) -> "TypingContext":
-        return TypingContext(self.assumptions + ((name, formula),))
-
-    def lookup(self, name: str) -> Optional[HornFormula]:
-        for n, f in reversed(self.assumptions):
-            if n == name:
-                return f
-        return None
-
-
 def type_check(
-    ctx: TypingContext | AxiomEnv, e: Evidence, f: HornFormula
+    env: AxiomEnv, e: Evidence, f: HornFormula
 ) -> tuple[bool, list[str]]:
-    """Check e against the Horn formula f.  Returns (ok, trace); on failure
-    the last trace line names the rule that failed and where."""
-    if isinstance(ctx, AxiomEnv):
-        ctx = TypingContext.from_env(ctx)
+    """Check e against the Horn formula f.  Returns (ok, log); the log is
+    empty on success and on failure holds one line naming the rule that
+    failed and where.
+
+    Global names resolve in `env`; the `mu` and lambda binders the term
+    opens live in a local scope that is searched first, so a binder shadows
+    an entry of the same name."""
     log: list[str] = []
     counter = [0]
 
@@ -95,14 +80,13 @@ def type_check(
         log.append(f"FAIL: {msg}")
         return False
 
-    def check(ctx: TypingContext, e: Evidence, f: HornFormula) -> bool:
+    def check(scope: dict, e: Evidence, f: HornFormula) -> bool:
         if isinstance(e, EMu):
             if not hnf(e.body):
                 return fail(
                     f"mu rule needs a head-normal body, got {render_evidence(e.body)}"
                 )
-            log.append(f"mu {e.binder} : {render_horn(f)}")
-            return check(ctx.extended(e.binder, f), e.body, f)
+            return check({**scope, e.binder: f}, e.body, f)
         fvs = free_vars(f)
         if f.body or fvs:
             binders = []
@@ -119,11 +103,10 @@ def type_check(
             for v in fvs:
                 counter[0] += 1
                 gamma[v] = Eigen(f"{v}#{counter[0]}", origin=render_horn(f))
-            ctx2 = ctx
+            inner_scope = dict(scope)
             for b, atom in zip(binders, f.body):
-                ctx2 = ctx2.extended(b, fact(apply(gamma, atom)))
-                log.append(f"abs {b} : {render_atom(apply(gamma, atom))}")
-            return check(ctx2, inner, fact(apply(gamma, f.head)))
+                inner_scope[b] = fact(apply(gamma, atom))
+            return check(inner_scope, inner, fact(apply(gamma, f.head)))
         goal = f.head
         head, args = spine_evidence(e)
         if not isinstance(head, (EAxiom, EVar)):
@@ -131,9 +114,12 @@ def type_check(
                 f"head of {render_evidence(e)} is not an assumption constant "
                 f"or variable"
             )
-        hf = ctx.lookup(head.name)
+        hf = scope.get(head.name)
         if hf is None:
-            return fail(f"assumption {head.name} is not in scope")
+            entry = env.lookup(head.name)
+            if entry is None:
+                return fail(f"assumption {head.name} is not in scope")
+            hf = entry.formula
         sigma = match(hf.head, goal)
         if sigma is None:
             return fail(
@@ -145,12 +131,14 @@ def type_check(
                 f"{head.name} applied to {len(args)} arguments but has "
                 f"{len(hf.body)} hypotheses"
             )
-        log.append(f"app {head.name} at {render_atom(goal)}")
         return all(
-            check(ctx, a, fact(apply(sigma, b))) for a, b in zip(args, hf.body)
+            check(scope, a, fact(apply(sigma, b))) for a, b in zip(args, hf.body)
         )
 
-    ok = check(ctx, e, f)
+    ok = check({}, e, f)
+    # `check` refers to itself; unbinding it frees the closure, and the
+    # environment it holds, without waiting for the cycle collector
+    del check
     return ok, log
 
 
@@ -419,6 +407,17 @@ def check_obs_equiv(
         raise ValueError("observational equivalence needs n >= 1")
     obs = observational_points(loop, n, fuel)
     cor = corecursive_points(e, loop.hypotheses, n, fuel)
+    return compare_points(loop, obs, cor, n)
+
+
+def compare_points(
+    loop: SimpleLoop,
+    obs: list[ObservationRecord],
+    cor: list[ObservationRecord],
+    n: int,
+) -> tuple[bool, Optional[str]]:
+    """The comparison behind `check_obs_equiv`, on point lists already
+    computed."""
     for m in range(1, n + 1):
         if m > len(obs) or m > len(cor):
             return False, f"diverges at m={m}: trace ended early"

@@ -62,13 +62,9 @@ def _strict_sub_multiset(small: Counter, big: Counter) -> bool:
     return sum(small.values()) < sum(big.values())
 
 
-def paterson_ok(p: Projection) -> bool:
-    """True iff the body atom's symbol+variable multiset is a strict
-    sub-multiset of the head's."""
-    return _strict_sub_multiset(_measure(p.body_atom), _measure(p.head))
-
-
-def paterson_pair(body_atom: Atom, head: Atom) -> bool:
+def paterson_ok(body_atom: Atom, head: Atom) -> bool:
+    """Paterson's condition for `body_atom => head`: the body atom's
+    symbol+variable multiset is a strict sub-multiset of the head's."""
     return _strict_sub_multiset(_measure(body_atom), _measure(head))
 
 
@@ -94,7 +90,7 @@ def _failing_projections(tree: ResolutionTree) -> dict[tuple[str, int], Projecti
     for name, formula in tree.formulas.items():
         for i in range(1, len(formula.body) + 1):
             proj = projection(name, formula, i)
-            if not paterson_ok(proj):
+            if not paterson_ok(proj.body_atom, proj.head):
                 out[(name, i)] = proj
     return out
 
@@ -320,7 +316,7 @@ def candidate_lemma(
     existential variables or merely restates an existing clause."""
     head = at.root
     body = tuple(
-        atom for _, atom, _ in at.leaves() if paterson_pair(atom, head)
+        atom for _, atom, _ in at.leaves() if paterson_ok(atom, head)
     )
     formula = HornFormula(body, head)
     head_vars = set(free_vars(head))

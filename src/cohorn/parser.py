@@ -266,14 +266,6 @@ def parse_atom(text: str) -> Atom:
     return a
 
 
-def parse_horn(text: str) -> HornFormula:
-    p = _Parser(text)
-    h = p.horn()
-    if p.peek().kind != "eof":
-        p.fail("trailing input after formula")
-    return h
-
-
 # ---------------------------------------------------------------------------
 # Rendering
 

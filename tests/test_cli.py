@@ -1,8 +1,11 @@
+import importlib.util
 import json
 import random
+from pathlib import Path
 
 import pytest
 
+from cohorn import cli, corec, evidence
 from cohorn.cli import RunConfig, Session, main, run, run_obs, run_trace
 from cohorn.corec import ProofConfig
 from cohorn.parser import Decl, SourceModule
@@ -276,11 +279,89 @@ def test_run_config_rejects_an_obs_count_below_one(corpus):
         RunConfig(path=str(corpus / "evenodd.asl"), obs_check=0)
 
 
+def test_run_config_is_the_proof_config_it_validates(corpus):
+    cfg = RunConfig(path=str(corpus / "pair.asl"), fuel=20)
+    assert isinstance(cfg, ProofConfig)
+    assert (cfg.fuel, cfg.tree_depth, cfg.tree_nodes) == (20, 50, 10_000)
+    with pytest.raises(ValueError, match="tree_nodes must be positive"):
+        RunConfig(path=str(corpus / "pair.asl"), tree_nodes=0)
+
+
 def test_obs_rejects_zero_fuel(corpus, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["obs", str(corpus / "pair.asl"), "--goal", "Eq Int", "--fuel", "0"])
     assert exc.value.code == 2
     assert "argument --fuel" in capsys.readouterr().err
+
+
+def test_obs_check_reports_fuel_exhaustion_instead_of_raising(corpus, capsys):
+    code = main(["check", str(corpus / "evenodd.asl"), "--obs-check", "10", "--fuel", "20"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "  equivalent: no\n  fuel ran out after 20 steps, before m=10\n" in out
+
+
+def test_obs_reports_fuel_exhaustion_instead_of_raising(corpus, capsys):
+    args = ["obs", str(corpus / "hptree.asl"), "--goal", "Eq (Mu HPTree x)"]
+    code = main([*args, "-n", "5", "--fuel", "8"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.endswith("  equivalent: no\n  fuel ran out after 8 steps, before m=5\n")
+
+
+def test_obs_computes_each_point_list_once(corpus, monkeypatch):
+    calls = []
+    for name in ("observational_points", "corecursive_points"):
+        original = getattr(cli, name)
+        monkeypatch.setattr(
+            cli, name, lambda *a, f=original, n=name: calls.append(n) or f(*a)
+        )
+    monkeypatch.setattr(evidence, "observational_points", None)
+    monkeypatch.setattr(evidence, "corecursive_points", None)
+    code, out, _ = run_obs(str(corpus / "hptree.asl"), "Eq (Mu HPTree x)", n=3)
+    assert code == 0 and "equivalent: yes" in out
+    assert calls == ["observational_points", "corecursive_points"]
+
+
+EXIT_ZERO_CORPUS = [
+    "ab.asl",
+    "bush.asl",
+    "evenodd.asl",
+    "hptree.asl",
+    "lam_auto.asl",
+    "lam_lemma.asl",
+    "mutual_lemma.asl",
+    "pair.asl",
+    "q.asl",
+]
+
+
+@pytest.mark.parametrize("name", EXIT_ZERO_CORPUS)
+def test_check_type_checks_each_printed_lemma_once(corpus, monkeypatch, name):
+    calls = []
+    original = corec.type_check
+    monkeypatch.setattr(
+        corec, "type_check", lambda *a: calls.append(a[1]) or original(*a)
+    )
+    code, out, _ = run(RunConfig(path=str(corpus / name)))
+    assert code == 0
+    printed = out.split("\nLemmas\n", 1)[1].splitlines()
+    assert len(printed) == len(calls) > 0
+
+
+def test_benchmark_tracer_bindings_resolve():
+    # the tracer wraps these names from outside; a binding that a refactor
+    # drops would otherwise only fail in a traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    bindings = [(m, a) for m, a, *_ in tracing.SPANNED] + list(tracing.COUNTED)
+    for mod, attr in bindings:
+        owner = importlib.import_module(f"cohorn.{mod}")
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (mod, attr)
 
 
 # ---------------------------------------------------------------------------

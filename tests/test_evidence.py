@@ -90,6 +90,21 @@ def test_type_check_arity_mismatch(phi_pair):
     assert not ok
 
 
+def test_type_check_binder_shadows_an_axiom_of_the_same_name(phi_pair):
+    # the axiom KInt : Eq Int does not match the goal; the binder KInt does
+    formula = HornFormula((eq(pair(Int, Int)),), eq(pair(Int, Int)))
+    ok, log = type_check(phi_pair, ELam("KInt", EAxiom("KInt")), formula)
+    assert ok, log
+
+
+def test_type_check_log_is_empty_on_success_and_one_line_on_failure(phi_hptree):
+    formula = HornFormula((eq(x),), eq(mk_app(Mu, HPTree, x)))
+    assert type_check(phi_hptree, hptree_evidence(), formula) == (True, [])
+    ok, log = type_check(phi_hptree, EAxiom("KNope"), fact(eq(Int)))
+    assert not ok
+    assert log == ["FAIL: assumption KNope is not in scope"]
+
+
 # ---------------------------------------------------------------------------
 # weak-head reduction
 

@@ -49,7 +49,7 @@ def test_paterson_pair_projection_holds():
     # direct multiset computation: {x} strictly inside {Pair, x, y}
     assert combined(p.body_atom) == Counter({"x": 1})
     assert combined(p.head) == Counter({"Pair": 1, "x": 1, "y": 1})
-    assert paterson_ok(p)
+    assert paterson_ok(p.body_atom, p.head)
 
 
 def test_paterson_mu_projection_fails():
@@ -57,7 +57,7 @@ def test_paterson_mu_projection_fails():
     head = eq(mk_app(Const("Mu"), h, a))
     assert combined(body)["h"] == 2
     assert combined(head)["h"] == 1
-    assert not paterson_ok(Projection("KMu", 1, body, head))
+    assert not paterson_ok(body, head)
 
 
 def test_paterson_q_projection_fails():
@@ -65,7 +65,7 @@ def test_paterson_q_projection_fails():
     body = Atom("Q", (App(S, App(G, x)),))
     head = Atom("Q", (App(S, x),))
     assert "G" not in combined(head)
-    assert not paterson_ok(Projection("KS", 1, body, head))
+    assert not paterson_ok(body, head)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +244,6 @@ def test_q_candidate(phi_q):
 
 
 def test_candidate_invariants(phi_hptree, phi_q):
-    from cohorn.loopdetect import paterson_pair
-
     for env, goal in [
         (phi_hptree, eq(mk_app(Const("Mu"), Const("HPTree"), Int))),
         (phi_q, Atom("Q", (App(Const("S"), Const("Z")),))),
@@ -255,7 +253,7 @@ def test_candidate_invariants(phi_hptree, phi_q):
         head_vars = set(free_vars(cand.formula.head))
         for b in cand.formula.body:
             assert set(free_vars(b)) <= head_vars
-            assert paterson_pair(b, cand.formula.head)
+            assert paterson_ok(b, cand.formula.head)
 
 
 def test_candidate_restating_a_clause_is_discarded(phi_hptree):
