@@ -94,7 +94,14 @@ class GoalResult:
     # entry excluded, so traces replay the proof instead of shortcutting
     # through it
     proof_env: Optional[AxiomEnv] = None
-    steps: Optional[int] = None
+
+    def replay(self, fuel: int) -> Optional[list]:
+        """The small-step trace of a proven bodiless ground goal, replayed
+        in the environment it was proven in; None for other goals."""
+        f = self.decl.formula
+        if self.proof_env is None or f.body or free_vars(f):
+            return None
+        return small_step_trace(self.proof_env, f.head, fuel)
 
 
 @dataclass
@@ -198,11 +205,6 @@ class Session:
                     name, d.formula, _named_recursion(report.evidence, name), "lemma"
                 )
             )
-            if not d.formula.body and not free_vars(d.formula):
-                result.steps = (
-                    len(small_step_trace(result.proof_env, d.formula.head, self.cfg.fuel))
-                    - 1
-                )
 
     def _prove_lemma(self, d: Decl) -> AutoReport:
         try:
@@ -230,25 +232,21 @@ def _pos(p: Path) -> str:
     return "<" + ",".join(str(i) for i in p) + ">"
 
 
-def _tree_lines(nodes, status, clause_at, base: Path, out: list[str], indent: str):
-    order = sorted(nodes, key=lambda q: (len(q), q))
-    for p in order:
-        if base and p[: len(base)] != base:
-            continue
-        rel = len(p) - len(base)
-        atom = nodes[p]
-        label = clause_at.get(p)
-        st = status.get(p)
-        tag = f"  [{label}]" if label else ""
+def _tree_lines(tree, positions: list[Path], critical, out: list[str], indent: str):
+    """Print the tree's nodes at `positions`, given in breadth-first order,
+    relative to the first."""
+    base = len(positions[0])
+    for p in positions:
+        st = tree.status[p]
         if st is NodeStatus.SUCCESS:
             text = "[]"
+        elif p in critical:
+            text = f"{render_atom(tree.nodes[p])}  [critical]"
+        elif st is NodeStatus.STUCK:
+            text = f"{render_atom(tree.nodes[p])}  [irreducible]"
         else:
-            text = render_atom(atom)
-            if st is NodeStatus.UNEXPANDED:
-                tag = "  [critical]" if not label else tag
-            elif st is NodeStatus.STUCK:
-                tag = "  [irreducible]"
-        out.append(f"{indent}{'  ' * rel}{_pos(p[len(base):])} {text}{tag}")
+            text = f"{render_atom(tree.nodes[p])}  [{tree.clause_at[p]}]"
+        out.append(f"{indent}{'  ' * (len(p) - base)}{_pos(p[base:])} {text}")
 
 
 def _explain_lines(name: str, analysis: LoopAnalysis) -> list[str]:
@@ -270,25 +268,11 @@ def _explain_lines(name: str, analysis: LoopAnalysis) -> list[str]:
     if analysis.closed is not None:
         cs = analysis.closed
         out.append(f"  closed subtree rooted at {_pos(cs.root)}:")
-        sub_nodes = {p: cs.tree.nodes[p] for p in cs.positions}
-        sub_status = {
-            p: (
-                NodeStatus.UNEXPANDED
-                if p in cs.critical_leaves
-                else cs.tree.status[p]
-            )
-            for p in cs.positions
-        }
-        sub_clauses = {
-            p: cs.tree.clause_at[p]
-            for p in cs.positions
-            if p in cs.tree.clause_at and p not in cs.critical_leaves
-        }
-        _tree_lines(sub_nodes, sub_status, sub_clauses, cs.root, out, "    ")
+        _tree_lines(cs.tree, cs.positions, set(cs.critical_leaves), out, "    ")
     if analysis.abstract is not None:
         at = analysis.abstract
         out.append("  abstract tree:")
-        _tree_lines(at.nodes, at.status, at.clause_at, (), out, "    ")
+        _tree_lines(at, list(at.nodes), set(at.frontier), out, "    ")
     return out
 
 
@@ -323,16 +307,10 @@ def _report_text(session: Session, cfg: RunConfig) -> str:
                 lines.extend(_explain_lines(g.name, g.report.analysis))
     if cfg.trace:
         for g in session.goals:
-            f = g.decl.formula
-            if (
-                g.report.outcome in (PROVEN, DIRECTLY_PROVEN)
-                and g.proof_env is not None
-                and not f.body
-                and not free_vars(f)
-            ):
-                lines.append(f"Trace for {g.name} {render_atom(f.head)}")
-                for state in small_step_trace(g.proof_env, f.head, cfg.fuel):
-                    lines.append(f"  {render_evidence(state)}")
+            states = g.replay(cfg.fuel)
+            if states is not None:
+                lines.append(f"Trace for {g.name} {render_atom(g.decl.formula.head)}")
+                lines.extend(f"  {render_evidence(state)}" for state in states)
     if cfg.obs_check is not None:
         ax_env = _axiom_env(session.module)
         for g in session.goals:
@@ -358,6 +336,7 @@ def emit_json(session: Session, cfg: RunConfig, exit_code: int) -> str:
     ]
     goals = []
     for g in session.goals:
+        states = g.replay(cfg.fuel)
         goals.append(
             {
                 "name": g.name,
@@ -376,7 +355,7 @@ def emit_json(session: Session, cfg: RunConfig, exit_code: int) -> str:
                     else None
                 ),
                 "reason": g.report.reason or None,
-                "steps": g.steps,
+                "steps": None if states is None else len(states) - 1,
             }
         )
     doc = {

@@ -11,7 +11,6 @@ from typing import Callable, Optional
 
 from .evidence import hnf, type_check
 from .loopdetect import (
-    AbstractTree,
     CandidateLemma,
     ClosedSubtree,
     CriticalTriple,
@@ -51,7 +50,8 @@ from .syntax import (
 )
 
 
-# the unfolding budget of the abstract representation
+# the resolution tree's node bound and the abstract unfolding budget
+TREE_NODES = 10_000
 ABSTRACT_FUEL = 1_000
 
 
@@ -60,10 +60,9 @@ class ProofConfig:
     fuel: int = 10_000
     max_lemma_rounds: int = 3
     tree_depth: int = 50
-    tree_nodes: int = 10_000
 
     def __post_init__(self):
-        for name in ("fuel", "max_lemma_rounds", "tree_depth", "tree_nodes"):
+        for name in ("fuel", "max_lemma_rounds", "tree_depth"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -147,7 +146,7 @@ class LoopAnalysis:
 
     tree: ResolutionTree
     closed: Optional[ClosedSubtree]
-    abstract: Optional[AbstractTree]
+    abstract: Optional[ResolutionTree]  # the abstract representation
 
     @cached_property
     def triples(self) -> list[CriticalTriple]:
@@ -223,7 +222,7 @@ def auto(
                 analysis=analysis,
             )
         try:
-            tree = build_tree(cur, goal.head, cfg.tree_depth, cfg.tree_nodes)
+            tree = build_tree(cur, goal.head, cfg.tree_depth, TREE_NODES)
         except OverlapError as ex:
             return AutoReport(goal, INCONCLUSIVE, reason=str(ex))
         cs = closed_subtree(tree)

@@ -11,6 +11,7 @@ proof-local constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 from .resolve import (
@@ -20,7 +21,7 @@ from .resolve import (
     Path,
     iter_atoms,
     replace_at,
-    step,
+    small_steps,
     subterm_at,
 )
 from .syntax import (
@@ -229,18 +230,13 @@ def _reducible(env: AxiomEnv, atom: Atom) -> bool:
 def _hyp_context(env: AxiomEnv, start: Atom, d: Atom, fuel: int) -> Optional[Mixed]:
     """Trace `start` until a state whose atoms are all exactly `d`; return
     it with those occurrences holed, or None when no such state shows up."""
-    state: Mixed = MAtom(start)
-    for _ in range(fuel):
+    for state in islice(small_steps(env, MAtom(start)), fuel):
         occ = list(iter_atoms(state))
         if occ and all(a == d for _, a in occ):
             out = state
             for path, _ in occ:
                 out = replace_at(out, path, Hole())
             return out
-        nxt = step(env, state)
-        if nxt is None:
-            return None
-        state = nxt
     return None
 
 
@@ -273,12 +269,7 @@ def detect_simple_loop(
     The trace is stepped lazily and the search stops at the first verified
     loop.
     """
-    state: Mixed = MAtom(goal)
-    for _ in range(fuel):
-        nxt = step(env, state)
-        if nxt is None:
-            return None
-        state = nxt
+    for state in islice(small_steps(env, MAtom(goal)), 1, fuel + 1):
         occurrences = list(iter_atoms(state))
         candidates = [
             (path, match(goal, atom)) for path, atom in occurrences
@@ -327,12 +318,9 @@ def observational_points(
     if n <= 0:
         return records
     hypset = set(loop.hypotheses)
-    state: Mixed = MAtom(loop.goal)
-    for _ in range(fuel):
-        nxt = step(loop.env, state)
-        if nxt is None:
-            return records
-        state = nxt
+    stepped = 0
+    for state in islice(small_steps(loop.env, MAtom(loop.goal)), 1, fuel + 1):
+        stepped += 1
         occurrences = list(iter_atoms(state))
         for path, atom in occurrences:
             if match(loop.goal, atom) is None:
@@ -347,6 +335,8 @@ def observational_points(
             break
         if len(records) == n:
             return records
+    if stepped < fuel:  # the trace reached a normal form
+        return records
     raise FuelExhausted()
 
 

@@ -22,7 +22,7 @@ from .resolve import (
     NodeStatus,
     Path,
     ResolutionTree,
-    _unique_clause,
+    build_tree,
 )
 from .syntax import (
     Atom,
@@ -232,68 +232,20 @@ def closed_subtree(tree: ResolutionTree) -> Union[ClosedSubtree, NoClosedSubtree
 # Abstract representation
 
 
-@dataclass
-class AbstractTree:
-    """Unfolding of the anti-unifier of a closed subtree's root and
-    critical leaves, left undefined strictly below the critical positions.
-    Positions are relative to the closed subtree's root."""
-
-    root: Atom
-    nodes: dict[Path, Optional[Atom]]
-    status: dict[Path, NodeStatus]
-    clause_at: dict[Path, str]
-    frontier: list[Path]  # critical positions, where unfolding stopped
-
-    def leaves(self) -> list[tuple[Path, Atom, bool]]:
-        """(position, atom, is_critical) for every non-success leaf, in
-        breadth-first order."""
-        out = []
-        for pos in _bfs_order(self.nodes):
-            if self.status[pos] in (NodeStatus.STUCK, NodeStatus.UNEXPANDED):
-                out.append((pos, self.nodes[pos], pos in self.frontier))
-        return out
-
-
 def abstract_representation(
     ct: ClosedSubtree, env: AxiomEnv, fuel: int = 1_000
-) -> AbstractTree:
-    """Unfold the anti-unifier of the closed subtree's root and critical
-    leaves, stopping at the (rebased) critical positions.  The unfolding
-    itself can diverge, so it is bounded by `fuel` nodes."""
+) -> ResolutionTree:
+    """The resolution tree of the anti-unifier of the closed subtree's root
+    and critical leaves, stopped at the critical positions (rebased to the
+    subtree's root).  The unfolding itself can diverge, so it is bounded by
+    `fuel` nodes and levels: FuelExhausted when the tree is truncated."""
     base = len(ct.root)
-    frontier = {p[base:] for p in ct.critical_leaves}
+    stops = frozenset(p[base:] for p in ct.critical_leaves)
     root = anti_unify_all([ct.root_atom()] + ct.leaf_atoms())
-    nodes: dict[Path, Optional[Atom]] = {(): root}
-    status: dict[Path, NodeStatus] = {}
-    clause_at: dict[Path, str] = {}
-    queue: deque[Path] = deque([()])
-    count = 1
-    while queue:
-        pos = queue.popleft()
-        if pos in frontier:
-            status[pos] = NodeStatus.UNEXPANDED
-            continue
-        found = _unique_clause(env, nodes[pos])
-        if found is None:
-            status[pos] = NodeStatus.STUCK
-            continue
-        entry, sigma = found
-        status[pos] = NodeStatus.INTERNAL
-        clause_at[pos] = entry.name
-        if not entry.formula.body:
-            nodes[pos + (1,)] = None
-            status[pos + (1,)] = NodeStatus.SUCCESS
-            count += 1
-            continue
-        for i, b in enumerate(entry.formula.body, start=1):
-            child = pos + (i,)
-            nodes[child] = apply(sigma, b)
-            count += 1
-            if count > fuel:
-                raise FuelExhausted()
-            queue.append(child)
-    reached = [p for p in _bfs_order(frontier) if p in nodes]
-    return AbstractTree(root, nodes, status, clause_at, reached)
+    tree = build_tree(env, root, fuel, fuel, stops)
+    if tree.truncated:
+        raise FuelExhausted()
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +260,13 @@ class CandidateLemma:
 
 
 def candidate_lemma(
-    at: AbstractTree, env: Optional[AxiomEnv] = None
+    at: ResolutionTree, env: Optional[AxiomEnv] = None
 ) -> tuple[Optional[CandidateLemma], str]:
-    """Read the candidate off the abstract tree: the root as head, and as
-    body every non-success leaf B for which B => root satisfies Paterson's
-    condition.  Returns (None, reason) when the formula would have
-    existential variables or merely restates an existing clause."""
+    """Read the candidate off the abstract representation: the root as
+    head, and as body every non-success leaf B for which B => root
+    satisfies Paterson's condition.  Returns (None, reason) when the
+    formula would have existential variables or merely restates an
+    existing clause."""
     head = at.root
     body = tuple(
         atom for _, atom, _ in at.leaves() if paterson_ok(atom, head)

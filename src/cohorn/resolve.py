@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left
 from collections import deque
+from itertools import islice
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -494,14 +495,12 @@ def iter_atoms(state: Mixed):
             stack.append((node.body, path + (0,)))
 
 
-def step(
-    env: AxiomEnv, state: Mixed, policy: ClausePolicy = NEWEST_FIRST
-) -> Optional[Mixed]:
+def step(env: AxiomEnv, state: Mixed) -> Optional[Mixed]:
     """One small resolution step: rewrite the leftmost reducible atom
-    through the first clause the policy offers, or None when every atom is
-    irreducible."""
+    through the newest clause whose head matches it, or None when every
+    atom is irreducible."""
     for path, atom in iter_atoms(state):
-        cands, _ = policy.candidates(env, atom, 1)
+        cands, _ = NEWEST_FIRST.candidates(env, atom, 1)
         if not cands:
             continue
         entry, sigma = cands[0]
@@ -512,21 +511,18 @@ def step(
     return None
 
 
-def trace(
-    env: AxiomEnv,
-    goal: Atom,
-    max_steps: int = 10_000,
-    policy: ClausePolicy = NEWEST_FIRST,
-) -> list[Mixed]:
-    """Iterate `step` from the goal; the list ends at a normal form or
-    after max_steps rewrites."""
-    states: list[Mixed] = [MAtom(goal)]
-    for _ in range(max_steps):
-        nxt = step(env, states[-1], policy)
-        if nxt is None:
-            break
-        states.append(nxt)
-    return states
+def small_steps(env: AxiomEnv, state: Mixed):
+    """The small-step trace from `state`: the state itself, then every
+    state `step` reaches, up to a normal form if there is one."""
+    while state is not None:
+        yield state
+        state = step(env, state)
+
+
+def trace(env: AxiomEnv, goal: Atom, max_steps: int = 10_000) -> list[Mixed]:
+    """The first max_steps rewrites of the goal's small-step trace, with
+    the goal in front; the list ends early at a normal form."""
+    return list(islice(small_steps(env, MAtom(goal)), max_steps + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +543,10 @@ class ResolutionTree:
     Positions are tuples of 1-based child indices; () is the root.  For an
     expanded position w, clause_at[w] names the clause applied there, so
     the edge (w, i) carries the projection clause_at[w]^i.  Success leaves
-    have no atom.  `formulas` snapshots the formula of every clause used,
-    so the tree is self-contained for loop analysis.
+    have no atom.  `nodes` is in breadth-first order.  `formulas`
+    snapshots the formula of every clause used, so the tree is
+    self-contained for loop analysis.  `frontier` lists, in breadth-first
+    order, the positions reached where unfolding was told to stop.
     """
 
     root: Atom
@@ -557,6 +555,7 @@ class ResolutionTree:
     clause_at: dict[Path, str]
     formulas: dict[str, HornFormula]
     truncated: bool
+    frontier: list[Path]
 
     def children(self, pos: Path) -> list[Path]:
         out = []
@@ -565,6 +564,16 @@ class ResolutionTree:
             out.append(pos + (i,))
             i += 1
         return out
+
+    def leaves(self) -> list[tuple[Path, Atom, bool]]:
+        """(position, atom, is_frontier) for every non-success leaf, in
+        breadth-first order."""
+        stops = set(self.frontier)
+        return [
+            (pos, atom, pos in stops)
+            for pos, atom in self.nodes.items()
+            if self.status[pos] in (NodeStatus.STUCK, NodeStatus.UNEXPANDED)
+        ]
 
 
 def _unique_clause(env: AxiomEnv, goal: Atom):
@@ -579,23 +588,34 @@ def _unique_clause(env: AxiomEnv, goal: Atom):
 
 
 def build_tree(
-    env: AxiomEnv, goal: Atom, depth_bound: int = 50, node_bound: int = 10_000
+    env: AxiomEnv,
+    goal: Atom,
+    depth_bound: int = 50,
+    node_bound: int = 10_000,
+    stop_at: frozenset[Path] = frozenset(),
 ) -> ResolutionTree:
     """Breadth-first resolution tree, truncated at the given number of node
     levels (the root is level 0) and total node count.  Success leaves are
     always completed, so an empty-body clause never counts against the
-    depth.  Raises OverlapError when two clause heads match one node."""
+    depth.  Positions in `stop_at` are left unexpanded, without truncating
+    the tree, and listed in its `frontier`.  Raises OverlapError when two
+    clause heads match one expanded node."""
     if depth_bound <= 0 or node_bound <= 0:
         raise ValueError("tree bounds must be positive")
     nodes: dict[Path, Optional[Atom]] = {(): goal}
     status: dict[Path, NodeStatus] = {}
     clause_at: dict[Path, str] = {}
     formulas: dict[str, HornFormula] = {}
+    frontier: list[Path] = []
     truncated = False
     queue: deque[Path] = deque([()])
     count = 1
     while queue:
         pos = queue.popleft()
+        if pos in stop_at:
+            status[pos] = NodeStatus.UNEXPANDED
+            frontier.append(pos)
+            continue
         atom = nodes[pos]
         found = _unique_clause(env, atom)
         if found is None:
@@ -620,4 +640,4 @@ def build_tree(
             nodes[child] = apply(sigma, b)
             count += 1
             queue.append(child)
-    return ResolutionTree(goal, nodes, status, clause_at, formulas, truncated)
+    return ResolutionTree(goal, nodes, status, clause_at, formulas, truncated, frontier)

@@ -49,17 +49,26 @@ class Eigen:
 class _CachedHash:
     """Mixin for frozen dataclasses that keeps the field-tuple hash after
     the first call, so hashing a term that shares subterms already hashed
-    costs only its new nodes.  The cache stays out of pickled and copied
-    state: string hashes differ between processes."""
+    costs only its new nodes.  The first call fills the caches of uncached
+    subterms bottom-up with an explicit stack, so a deep term costs no deep
+    C-level recursion.  The cache stays out of pickled and copied state:
+    string hashes differ between processes."""
 
     _hash = None
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(self._key())
-            object.__setattr__(self, "_hash", h)
-        return h
+        if self._hash is None:
+            stack = [self]
+            while stack:
+                node = stack[-1]
+                subterms = node.args if type(node) is Atom else node._key()
+                missing = [t for t in subterms if type(t) is App and t._hash is None]
+                if missing:
+                    stack += missing
+                else:
+                    stack.pop()
+                    object.__setattr__(node, "_hash", hash(node._key()))
+        return self._hash
 
     def __getstate__(self):
         state = dict(self.__dict__)
@@ -76,6 +85,20 @@ class App(_CachedHash):
 
     def _key(self):
         return self.fun, self.arg
+
+    def __eq__(self, other):
+        if other.__class__ is not App:
+            return NotImplemented
+        stack = [(self, other)]  # explicit, for deep terms
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.__class__ is App and b.__class__ is App:
+                stack += ((a.arg, b.arg), (a.fun, b.fun))
+            elif a != b:
+                return False
+        return True
 
     def __repr__(self):
         return render_term(self)

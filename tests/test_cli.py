@@ -1,6 +1,9 @@
 import importlib.util
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -282,9 +285,9 @@ def test_run_config_rejects_an_obs_count_below_one(corpus):
 def test_run_config_is_the_proof_config_it_validates(corpus):
     cfg = RunConfig(path=str(corpus / "pair.asl"), fuel=20)
     assert isinstance(cfg, ProofConfig)
-    assert (cfg.fuel, cfg.tree_depth, cfg.tree_nodes) == (20, 50, 10_000)
-    with pytest.raises(ValueError, match="tree_nodes must be positive"):
-        RunConfig(path=str(corpus / "pair.asl"), tree_nodes=0)
+    assert (cfg.fuel, cfg.max_lemma_rounds, cfg.tree_depth) == (20, 3, 50)
+    with pytest.raises(ValueError, match="tree_depth must be positive"):
+        RunConfig(path=str(corpus / "pair.asl"), tree_depth=0)
 
 
 def test_obs_rejects_zero_fuel(corpus, capsys):
@@ -347,6 +350,27 @@ def test_check_type_checks_each_printed_lemma_once(corpus, monkeypatch, name):
     assert code == 0
     printed = out.split("\nLemmas\n", 1)[1].splitlines()
     assert len(printed) == len(calls) > 0
+
+
+def test_check_ends_on_16000_deep_terms(tmp_path):
+    # both used to overflow the C stack under the CLI's raised recursion
+    # limit: hashing the goal, and comparing two equal axioms
+    deep = "(S " * 16_000 + "Z" + ")" * 16_000
+    files = {
+        "goal.asl": f"module g where\naxiom P x => P x\nauto P {deep}\n",
+        "axioms.asl": f"module a where\naxiom P {deep}\naxiom P {deep}\n",
+    }
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "cohorn.cli", "check", str(tmp_path / name)],
+            env=env,
+            capture_output=True,
+            timeout=120,
+        )
+        assert proc.returncode in (0, 1, 2), (name, proc.returncode)
 
 
 def test_benchmark_tracer_bindings_resolve():

@@ -1,5 +1,6 @@
 import pytest
 
+from cohorn import corec
 from cohorn.corec import (
     DIRECTLY_PROVEN,
     INCONCLUSIVE,
@@ -242,8 +243,9 @@ def test_auto_stuck_goal_is_inconclusive(phi_pair):
     assert "Bool" in report.reason
 
 
-def test_auto_is_total_on_tiny_budgets(phi_d, phi_hbush):
-    cfg = ProofConfig(fuel=20, tree_depth=10, tree_nodes=200, max_lemma_rounds=2)
+def test_auto_is_total_on_tiny_budgets(phi_d, phi_hbush, monkeypatch):
+    monkeypatch.setattr(corec, "TREE_NODES", 200)
+    cfg = ProofConfig(fuel=20, tree_depth=10, max_lemma_rounds=2)
     for env, goal in [
         (phi_d, fact(Atom("D", (Const("Z"), Const("Z"))))),
         (phi_hbush, fact(eq(mk_app(Mu, Const("HBush"), Unit)))),

@@ -1,6 +1,6 @@
 import pickle
 import random
-from collections import Counter
+from collections import Counter, deque
 
 from cohorn.loopdetect import (
     ClosedSubtree,
@@ -16,13 +16,15 @@ from cohorn.loopdetect import (
     find_critical_triples,
     paterson_ok,
 )
-from cohorn.resolve import NodeStatus, build_tree
+from cohorn.resolve import FuelExhausted, NodeStatus, _unique_clause, build_tree
 from cohorn.syntax import (
     App,
     Atom,
     Const,
     HornFormula,
     Var,
+    anti_unify_all,
+    apply,
     free_vars,
     match,
     mk_app,
@@ -358,3 +360,93 @@ def test_pickled_terms_carry_no_cached_hash():
         copy = pickle.loads(pickle.dumps(obj))
         assert copy == obj and "_hash" not in vars(copy)
         assert hash(copy) == hash(obj)
+
+
+# ---------------------------------------------------------------------------
+# the abstract representation is the resolution tree, stopped at the
+# critical positions
+
+
+def reference_abstract(ct, env, fuel):
+    """The separate unfolder the abstract representation once had: it
+    raised as soon as a child took the node count above the fuel."""
+    base = len(ct.root)
+    frontier = {p[base:] for p in ct.critical_leaves}
+    root = anti_unify_all([ct.root_atom()] + ct.leaf_atoms())
+    nodes, status, clause_at = {(): root}, {}, {}
+    queue = deque([()])
+    count = 1
+    while queue:
+        pos = queue.popleft()
+        if pos in frontier:
+            status[pos] = NodeStatus.UNEXPANDED
+            continue
+        found = _unique_clause(env, nodes[pos])
+        if found is None:
+            status[pos] = NodeStatus.STUCK
+            continue
+        entry, sigma = found
+        status[pos] = NodeStatus.INTERNAL
+        clause_at[pos] = entry.name
+        if not entry.formula.body:
+            nodes[pos + (1,)] = None
+            status[pos + (1,)] = NodeStatus.SUCCESS
+            count += 1
+            continue
+        for i, b in enumerate(entry.formula.body, start=1):
+            nodes[pos + (i,)] = apply(sigma, b)
+            count += 1
+            if count > fuel:
+                raise FuelExhausted()
+            queue.append(pos + (i,))
+    reached = [p for p in _bfs_order(frontier) if p in nodes]
+    return root, nodes, status, clause_at, reached
+
+
+def test_abstract_representation_agrees_with_the_separate_unfolder():
+    rng = random.Random(23)
+    kinds = Counter()
+    for _ in range(2000):
+        env = random_looping_env(rng, overlapping=False)
+        goal = random_loop_goal(rng, env)
+        ct = closed_subtree(build_tree(env, goal, depth_bound=rng.randint(3, 10)))
+        if not isinstance(ct, ClosedSubtree):
+            continue
+        fuel = rng.choice([2, 3, 4, 6, 1_000])
+        try:
+            expected = reference_abstract(ct, env, fuel)
+        except FuelExhausted:
+            expected = None
+        try:
+            at = abstract_representation(ct, env, fuel)
+        except FuelExhausted:
+            assert expected is None
+            kinds["cut"] += 1
+            continue
+        got = (at.root, at.nodes, at.status, at.clause_at, at.frontier)
+        if expected is None:
+            # the one difference: a last expansion may take the tree past
+            # the fuel when nothing is left to expand after it
+            assert len(at.nodes) > fuel
+            kinds["past the fuel"] += 1
+            continue
+        assert got == expected
+        assert list(at.nodes) == _bfs_order(at.nodes)
+        assert not at.truncated
+        kinds["equal"] += 1
+    assert min(kinds.values()) >= 5 and kinds["equal"] >= 100, kinds
+
+
+def test_stopped_positions_are_unexpanded_without_truncating(phi_hptree):
+    goal = eq(mk_app(Const("Mu"), Const("HPTree"), Int))
+    full = build_tree(phi_hptree, goal, depth_bound=6)
+    stops = frozenset({(1, 2), (1, 1, 1)})  # an atom and a success leaf
+    tree = build_tree(phi_hptree, goal, depth_bound=6, stop_at=stops)
+    assert tree.frontier == [(1, 2)]  # success leaves are never expanded
+    assert tree.status[(1, 2)] is NodeStatus.UNEXPANDED
+    assert (1, 2) not in tree.clause_at and not tree.children((1, 2))
+    assert not tree.truncated and full.truncated
+    assert [leaf for leaf in tree.leaves() if leaf[2]] == [((1, 2), full.nodes[(1, 2)], True)]
+    assert tree.nodes == {
+        p: a for p, a in full.nodes.items() if p[:2] != (1, 2) or p == (1, 2)
+    }

@@ -24,6 +24,7 @@ from cohorn.resolve import (
     hypothesis,
     lemma,
     resolve,
+    small_steps,
     step,
     trace,
 )
@@ -145,6 +146,26 @@ def test_trace_ab_prefix(phi_ab):
 def test_trace_zero_steps(phi_pair):
     goal = eq(pair(Int, Int))
     assert trace(phi_pair, goal, max_steps=0) == [MAtom(goal)]
+
+
+def test_small_steps_yields_the_states_step_reaches():
+    rng = random.Random(5)
+    for k in range(120):
+        if k % 2:
+            env, goal = random_terminating_case(rng)
+        else:
+            env = random_looping_env(rng, overlapping=True)
+            goal = random_loop_goal(rng, env)
+        expected = [MAtom(goal)]
+        while len(expected) <= 40:
+            nxt = step(env, expected[-1])
+            if nxt is None:
+                break
+            expected.append(nxt)
+        got = small_steps(env, MAtom(goal))
+        assert [s for _, s in zip(range(41), got)] == expected
+        if len(expected) <= 40:  # a normal form ends the trace
+            assert next(got, None) is None
 
 
 # ---------------------------------------------------------------------------

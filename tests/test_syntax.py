@@ -287,3 +287,33 @@ def test_alpha_equal_ab_evidence():
 def test_render_evidence_shapes():
     e = ELam("b0", mk_eapp(EAxiom("Ax0"), mk_eapp(EAxiom("Ax1"), EVar("b0"), EVar("x"))))
     assert render_evidence(e) == "\\ b0 . Ax0 (Ax1 b0 x)"
+
+
+def deep_term(n: int, leaf: str = "Z"):
+    t = Const(leaf)
+    for _ in range(n):
+        t = App(Const("S"), t)
+    return t
+
+
+def test_hash_and_equality_of_deep_terms_need_no_deep_recursion():
+    # run under the default recursion limit: the CLI raises it, tests don't
+    n = 100_000
+    a, b, c = deep_term(n), deep_term(n), deep_term(n, "Y")
+    assert hash(a) == hash(b)
+    assert a == b and not a != b
+    assert a != c and not a == c
+    assert eq(a) == eq(b) and hash(eq(a)) == hash(eq(b))
+    assert {eq(a): 1}[eq(b)] == 1
+
+
+def test_term_hashes_are_the_field_tuple_hashes():
+    t = App(App(Const("F"), Var("x")), pair(Const("A"), Var("y")))
+    assert hash(t) == hash((t.fun, t.arg))
+    assert hash(eq(t)) == hash(("Eq", (t,)))
+    # sharing is hashed once per node, not once per path
+    shared = Const("Z")
+    for _ in range(200):
+        shared = App(shared, shared)
+    assert hash(shared) == hash((shared.fun, shared.arg))
+    assert App(Const("F"), Var("x")) != Var("x") and Var("x") != App(Const("F"), Var("x"))
