@@ -42,6 +42,7 @@ from .resolve import (
     Path,
     Stuck,
     axiom,
+    count_steps,
     index_key,
     lemma,
     trace as small_step_trace,
@@ -95,13 +96,13 @@ class GoalResult:
     # through it
     proof_env: Optional[AxiomEnv] = None
 
-    def replay(self, fuel: int) -> Optional[list]:
-        """The small-step trace of a proven bodiless ground goal, replayed
-        in the environment it was proven in; None for other goals."""
+    def replay(self, run, fuel: int):
+        """`run(env, goal, fuel)`, the trace or its step count, on a proven
+        bodiless ground goal in the environment it was proven in, else None."""
         f = self.decl.formula
         if self.proof_env is None or f.body or free_vars(f):
             return None
-        return small_step_trace(self.proof_env, f.head, fuel)
+        return run(self.proof_env, f.head, fuel)
 
 
 @dataclass
@@ -307,7 +308,7 @@ def _report_text(session: Session, cfg: RunConfig) -> str:
                 lines.extend(_explain_lines(g.name, g.report.analysis))
     if cfg.trace:
         for g in session.goals:
-            states = g.replay(cfg.fuel)
+            states = g.replay(small_step_trace, cfg.fuel)
             if states is not None:
                 lines.append(f"Trace for {g.name} {render_atom(g.decl.formula.head)}")
                 lines.extend(f"  {render_evidence(state)}" for state in states)
@@ -336,7 +337,6 @@ def emit_json(session: Session, cfg: RunConfig, exit_code: int) -> str:
     ]
     goals = []
     for g in session.goals:
-        states = g.replay(cfg.fuel)
         goals.append(
             {
                 "name": g.name,
@@ -355,7 +355,7 @@ def emit_json(session: Session, cfg: RunConfig, exit_code: int) -> str:
                     else None
                 ),
                 "reason": g.report.reason or None,
-                "steps": None if states is None else len(states) - 1,
+                "steps": g.replay(count_steps, cfg.fuel),
             }
         )
     doc = {

@@ -11,7 +11,6 @@ proof-local constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Optional
 
 from .resolve import (
@@ -19,9 +18,9 @@ from .resolve import (
     Fuel,
     FuelExhausted,
     Path,
+    StepMachine,
     iter_atoms,
     replace_at,
-    small_steps,
     subterm_at,
 )
 from .syntax import (
@@ -222,31 +221,28 @@ class SimpleLoop:
 
 
 def _reducible(env: AxiomEnv, atom: Atom) -> bool:
-    return any(
-        match(e.formula.head, atom) is not None for e in env.clauses_for(atom)
-    )
+    return StepMachine(env, MAtom(atom)).reducible == 1
 
 
 def _hyp_context(env: AxiomEnv, start: Atom, d: Atom, fuel: int) -> Optional[Mixed]:
-    """Trace `start` until a state whose atoms are all exactly `d`; return
-    it with those occurrences holed, or None when no such state shows up."""
-    for state in islice(small_steps(env, MAtom(start)), fuel):
-        occ = list(iter_atoms(state))
-        if occ and all(a == d for _, a in occ):
-            out = state
-            for path, _ in occ:
-                out = replace_at(out, path, Hole())
-            return out
-    return None
+    """The first state of `start`'s trace whose atoms are all exactly `d`,
+    with them holed, or None.  `d` is a loop hypothesis, irreducible, so
+    only a normal form reached within fuel can qualify."""
+    m = StepMachine(env, MAtom(start))
+    while m.steps < fuel - 1 and m.advance():
+        pass
+    if fuel < 1 or m.reducible or set(iter_atoms(m.state())) != {d}:
+        return None
+    return _subst_leaf(m.state(), MAtom(d), Hole())
 
 
-def _fill_holes(ctx: Mixed, inner: Mixed) -> Mixed:
-    if isinstance(ctx, Hole):
-        return inner
+def _subst_leaf(ctx: Mixed, old: Mixed, new: Mixed) -> Mixed:
+    if ctx == old:
+        return new
     if isinstance(ctx, EApp):
-        return EApp(_fill_holes(ctx.fun, inner), _fill_holes(ctx.arg, inner))
+        return EApp(_subst_leaf(ctx.fun, old, new), _subst_leaf(ctx.arg, old, new))
     if isinstance(ctx, (ELam, EMu)):
-        return type(ctx)(ctx.binder, _fill_holes(ctx.body, inner))
+        return type(ctx)(ctx.binder, _subst_leaf(ctx.body, old, new))
     return ctx
 
 
@@ -254,7 +250,7 @@ def iterate_context(ctx: Mixed, d: Atom, m: int) -> Mixed:
     """C^m[D]: the hypothesis context applied m times to its atom."""
     out: Mixed = MAtom(d)
     for _ in range(m):
-        out = _fill_holes(ctx, out)
+        out = _subst_leaf(ctx, Hole(), out)
     return out
 
 
@@ -267,32 +263,27 @@ def detect_simple_loop(
     every other atom is irreducible, and each of those hypothesis atoms D
     satisfies sigma D ->* C_D[D] with no further atoms, all within fuel.
     The trace is stepped lazily and the search stops at the first verified
-    loop.
+    loop.  Instances of the goal are reducible, so a qualifying state has
+    one reducible atom, the next redex; other states cost O(1) to reject.
     """
-    for state in islice(small_steps(env, MAtom(goal)), 1, fuel + 1):
-        occurrences = list(iter_atoms(state))
-        candidates = [
-            (path, match(goal, atom)) for path, atom in occurrences
-        ]
-        candidates = [(p, s) for p, s in candidates if s is not None]
-        if not candidates:
+    m = StepMachine(env, MAtom(goal))
+    while m.steps < fuel and m.advance():
+        if m.reducible != 1:
             continue
-        reducible_paths = {
-            p for p, a in occurrences if _reducible(env, a)
-        }
-        for path, sigma in candidates:
-            if reducible_paths - {path}:
-                continue
-            others = [a for p, a in occurrences if p != path]
-            hyps = tuple(dict.fromkeys(others))
-            ctxs: dict[Atom, Mixed] = {}
-            for d in hyps:
-                c = _hyp_context(env, apply(sigma, d), d, fuel)
-                if c is None:
-                    break
-                ctxs[d] = c
-            else:
-                return SimpleLoop(env, goal, state, path, sigma, hyps, ctxs)
+        atom = m.redex()
+        sigma = match(goal, atom)
+        if sigma is None:
+            continue
+        state = m.state()
+        hyps = tuple(dict.fromkeys(a for a in iter_atoms(state) if a != atom))
+        ctxs: dict[Atom, Mixed] = {}
+        for d in hyps:
+            c = _hyp_context(env, apply(sigma, d), d, fuel)
+            if c is None:
+                break
+            ctxs[d] = c
+        else:
+            return SimpleLoop(env, goal, state, m.position(), sigma, hyps, ctxs)
     return None
 
 
@@ -318,38 +309,25 @@ def observational_points(
     if n <= 0:
         return records
     hypset = set(loop.hypotheses)
-    stepped = 0
-    for state in islice(small_steps(loop.env, MAtom(loop.goal)), 1, fuel + 1):
-        stepped += 1
-        occurrences = list(iter_atoms(state))
-        for path, atom in occurrences:
-            if match(loop.goal, atom) is None:
-                continue
-            if {a for p, a in occurrences if p != path} != hypset:
-                continue
-            records.append(
-                ObservationRecord(
-                    "observational", len(records) + 1, replace_at(state, path, Hole())
-                )
-            )
-            break
+    m = StepMachine(loop.env, MAtom(loop.goal))
+    while m.steps < fuel and m.advance():
+        # the hypotheses are irreducible and an instance of the goal is
+        # reducible, so only a state with one reducible atom can qualify
+        if m.reducible != 1:
+            continue
+        atom = m.redex()
+        if match(loop.goal, atom) is None:
+            continue
+        if {a for a in iter_atoms(m.state()) if a != atom} != hypset:
+            continue
+        records.append(
+            ObservationRecord("observational", len(records) + 1, m.state(Hole()))
+        )
         if len(records) == n:
             return records
-    if stepped < fuel:  # the trace reached a normal form
+    if m.steps < fuel:  # the trace reached a normal form
         return records
     raise FuelExhausted()
-
-
-def _mu_spine_top(state: Mixed, path: Path) -> Path:
-    """Walk from a mu redex up through `fun` edges to the top of its
-    application spine."""
-    nodes = [state]
-    for i in path:
-        nodes.append(subterm_at(nodes[-1], (i,)))
-    j = len(path)
-    while j > 0 and path[j - 1] == 0 and isinstance(nodes[j - 1], EApp):
-        j -= 1
-    return path[:j]
 
 
 def corecursive_points(
@@ -370,7 +348,11 @@ def corecursive_points(
             return records
         path, node = found
         if isinstance(node, EMu) and not first:
-            top = _mu_spine_top(state, path)
+            # _find_redex only passes through applications, so the top of
+            # the mu's spine is the path without its trailing `fun` edges
+            top = path
+            while top and top[-1] == 0:
+                top = top[:-1]
             _, args = spine_evidence(subterm_at(state, top))
             records.append(
                 ObservationRecord(

@@ -482,47 +482,123 @@ def replace_at(state: Mixed, path: Path, new: Mixed) -> Mixed:
 
 
 def iter_atoms(state: Mixed):
-    """Yield (path, atom) for every atom leaf, leftmost-outermost first."""
-    stack: list[tuple[Mixed, Path]] = [(state, ())]
+    """Yield every atom leaf, leftmost-outermost first."""
+    stack: list[Mixed] = [state]
     while stack:
-        node, path = stack.pop()
+        node = stack.pop()
         if isinstance(node, MAtom):
-            yield path, node.atom
+            yield node.atom
         elif isinstance(node, EApp):
-            stack.append((node.arg, path + (1,)))
-            stack.append((node.fun, path + (0,)))
+            stack += (node.arg, node.fun)
         elif isinstance(node, (ELam, EMu)):
-            stack.append((node.body, path + (0,)))
+            stack.append(node.body)
+
+
+class StepMachine:
+    """Small-step resolution from `state`: each step rewrites the leftmost
+    reducible atom through the newest matching clause.  The environment is
+    fixed, so nothing left of that atom ever changes again.  The machine
+    keeps a cursor that only moves right (a zipper: the focus and the nodes
+    above it, with the child index taken), the counts of steps and of
+    reducible atoms, and each atom's rewrite, memoised by identity (hashing
+    every new atom costs more than equal atoms save).  A step costs O(body
+    size) amortised; `state()` zips the cursor up in O(depth)."""
+
+    def __init__(self, env: AxiomEnv, state: Mixed):
+        self.env = env
+        self.steps = 0
+        self._memo: dict = {}
+        self._focus = state
+        self._above: list[tuple[Mixed, int]] = []
+        self.reducible = sum(self._rewrite(a) is not None for a in iter_atoms(state))
+
+    def _rewrite(self, atom: Atom):
+        """(replacement, body atoms) by the newest matching clause, or None."""
+        entry = self._memo.get(id(atom))
+        if entry is None:
+            found = None
+            for e in reversed(self.env.clauses_for(atom)):
+                s = match(e.formula.head, atom)
+                if s is not None:
+                    body = tuple(apply(s, b) for b in e.formula.body)
+                    found = mk_eapp(e.ref(), *map(MAtom, body)), body
+                    break
+            entry = self._memo[id(atom)] = atom, found  # the atom pins its id
+        return entry[1]
+
+    def redex(self) -> Optional[Atom]:
+        """Move the cursor to the leftmost reducible atom and return it, or
+        None at a normal form, leaving the cursor at the root."""
+        focus, above = self._focus, self._above
+        while True:
+            if isinstance(focus, MAtom) and self._rewrite(focus.atom) is not None:
+                self._focus = focus
+                return focus.atom
+            if isinstance(focus, (EApp, ELam, EMu)):
+                above.append((focus, 0))
+                focus = _child(focus, 0)
+                continue
+            # climb past last children, then enter the next right sibling
+            while above and (above[-1][1] or not isinstance(above[-1][0], EApp)):
+                node, i = above.pop()
+                focus = _rebuild(node, i, focus)
+            if not above:
+                self._focus = focus
+                return None
+            node = EApp(focus, above.pop()[0].arg)
+            above.append((node, 1))
+            focus = node.arg
+
+    def advance(self) -> bool:
+        """Rewrite the leftmost reducible atom; False at a normal form."""
+        atom = self.redex()
+        if atom is None:
+            return False
+        self._focus, body = self._rewrite(atom)
+        self.reducible += sum(self._rewrite(b) is not None for b in body) - 1
+        self.steps += 1
+        return True
+
+    def position(self) -> Path:
+        """The path from the root to the cursor."""
+        return tuple(i for _, i in self._above)
+
+    def state(self, focus: Optional[Mixed] = None) -> Mixed:
+        """The current state, or `focus` plugged in at the cursor."""
+        out = self._focus if focus is None else focus
+        for node, i in reversed(self._above):
+            out = _rebuild(node, i, out)
+        return out
 
 
 def step(env: AxiomEnv, state: Mixed) -> Optional[Mixed]:
     """One small resolution step: rewrite the leftmost reducible atom
     through the newest clause whose head matches it, or None when every
     atom is irreducible."""
-    for path, atom in iter_atoms(state):
-        cands, _ = NEWEST_FIRST.candidates(env, atom, 1)
-        if not cands:
-            continue
-        entry, sigma = cands[0]
-        new = mk_eapp(
-            entry.ref(), *(MAtom(apply(sigma, b)) for b in entry.formula.body)
-        )
-        return replace_at(state, path, new)
-    return None
+    return next(islice(small_steps(env, state), 1, None), None)
 
 
 def small_steps(env: AxiomEnv, state: Mixed):
     """The small-step trace from `state`: the state itself, then every
     state `step` reaches, up to a normal form if there is one."""
-    while state is not None:
-        yield state
-        state = step(env, state)
+    m = StepMachine(env, state)
+    yield state
+    while m.advance():
+        yield m.state()
 
 
 def trace(env: AxiomEnv, goal: Atom, max_steps: int = 10_000) -> list[Mixed]:
     """The first max_steps rewrites of the goal's small-step trace, with
     the goal in front; the list ends early at a normal form."""
     return list(islice(small_steps(env, MAtom(goal)), max_steps + 1))
+
+
+def count_steps(env: AxiomEnv, goal: Atom, max_steps: int = 10_000) -> int:
+    """len(trace(env, goal, max_steps)) - 1, building no state."""
+    m = StepMachine(env, MAtom(goal))
+    while m.steps < max_steps and m.advance():
+        pass
+    return m.steps
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,462 @@
+"""The incremental small-step machine against the whole-state rescans it
+replaced, kept here as reference versions, plus its cost bounds."""
+
+import contextlib
+import io
+import random
+import subprocess
+import sys
+import time
+from itertools import islice
+
+import pytest
+
+from conftest import (
+    CORPUS,
+    random_loop_goal,
+    random_looping_env,
+    random_terminating_case,
+)
+from cohorn import cli
+from cohorn.evidence import (
+    ObservationRecord,
+    SimpleLoop,
+    _hyp_context,
+    detect_simple_loop,
+    observational_points,
+)
+from cohorn.parser import parse_atom
+from cohorn.resolve import (
+    NEWEST_FIRST,
+    AxiomEnv,
+    FuelExhausted,
+    StepMachine,
+    axiom,
+    count_steps,
+    replace_at,
+    small_steps,
+    step,
+    trace,
+)
+from cohorn.syntax import (
+    App,
+    Atom,
+    Const,
+    EApp,
+    EAxiom,
+    ELam,
+    EMu,
+    EVar,
+    Hole,
+    HornFormula,
+    MAtom,
+    Var,
+    apply,
+    fact,
+    match,
+    mk_app,
+    mk_eapp,
+    pair,
+)
+
+from test_contract import GROUND_GOALS
+
+# ---------------------------------------------------------------------------
+# Reference versions: each step and each loop check rescans the whole state
+
+
+def ref_atoms(state):
+    """(path, atom) for every atom leaf, leftmost-outermost first."""
+    stack = [(state, ())]
+    while stack:
+        node, path = stack.pop()
+        if isinstance(node, MAtom):
+            yield path, node.atom
+        elif isinstance(node, EApp):
+            stack.append((node.arg, path + (1,)))
+            stack.append((node.fun, path + (0,)))
+        elif isinstance(node, (ELam, EMu)):
+            stack.append((node.body, path + (0,)))
+
+
+def ref_step(env, state):
+    for path, atom in ref_atoms(state):
+        cands, _ = NEWEST_FIRST.candidates(env, atom, 1)
+        if not cands:
+            continue
+        entry, sigma = cands[0]
+        new = mk_eapp(
+            entry.ref(), *(MAtom(apply(sigma, b)) for b in entry.formula.body)
+        )
+        return replace_at(state, path, new)
+    return None
+
+
+def ref_steps(env, state):
+    while state is not None:
+        yield state
+        state = ref_step(env, state)
+
+
+def ref_reducible(env, atom):
+    return any(match(e.formula.head, atom) is not None for e in env.clauses_for(atom))
+
+
+def ref_hyp_context(env, start, d, fuel):
+    for state in islice(ref_steps(env, MAtom(start)), fuel):
+        occ = list(ref_atoms(state))
+        if occ and all(a == d for _, a in occ):
+            out = state
+            for path, _ in occ:
+                out = replace_at(out, path, Hole())
+            return out
+    return None
+
+
+def ref_detect_simple_loop(env, goal, fuel):
+    for state in islice(ref_steps(env, MAtom(goal)), 1, fuel + 1):
+        occurrences = list(ref_atoms(state))
+        candidates = [(p, match(goal, a)) for p, a in occurrences]
+        candidates = [(p, s) for p, s in candidates if s is not None]
+        if not candidates:
+            continue
+        reducible_paths = {p for p, a in occurrences if ref_reducible(env, a)}
+        for path, sigma in candidates:
+            if reducible_paths - {path}:
+                continue
+            hyps = tuple(dict.fromkeys(a for p, a in occurrences if p != path))
+            ctxs = {}
+            for d in hyps:
+                c = ref_hyp_context(env, apply(sigma, d), d, fuel)
+                if c is None:
+                    break
+                ctxs[d] = c
+            else:
+                return SimpleLoop(env, goal, state, path, sigma, hyps, ctxs)
+    return None
+
+
+def ref_observational_points(loop, n, fuel):
+    records = []
+    if n <= 0:
+        return records
+    hypset = set(loop.hypotheses)
+    stepped = 0
+    for state in islice(ref_steps(loop.env, MAtom(loop.goal)), 1, fuel + 1):
+        stepped += 1
+        occurrences = list(ref_atoms(state))
+        for path, atom in occurrences:
+            if match(loop.goal, atom) is None:
+                continue
+            if {a for p, a in occurrences if p != path} != hypset:
+                continue
+            ctx = replace_at(state, path, Hole())
+            records.append(ObservationRecord("observational", len(records) + 1, ctx))
+            break
+        if len(records) == n:
+            return records
+    if stepped < fuel:
+        return records
+    raise FuelExhausted()
+
+
+# ---------------------------------------------------------------------------
+# Program shapes
+
+
+S, Z, Nil, Int = Const("S"), Const("Z"), Const("Nil"), Const("Int")
+x, xs = Var("x"), Var("xs")
+
+
+def eq(t):
+    return Atom("Eq", (t,))
+
+
+def nat(n):
+    t = Z
+    for _ in range(n):
+        t = App(S, t)
+    return t
+
+
+CHAIN = AxiomEnv(
+    [axiom("KZ", fact(eq(Z))), axiom("KS", HornFormula((eq(x),), eq(App(S, x))))]
+)
+LIST = AxiomEnv(
+    [
+        axiom("KInt", fact(eq(Int))),
+        axiom("KNil", fact(eq(Nil))),
+        axiom("KCons", HornFormula((eq(x), eq(xs)), eq(mk_app(Const("Cons"), x, xs)))),
+    ]
+)
+PAIR = AxiomEnv(
+    [
+        axiom("KInt", fact(eq(Int))),
+        axiom("KPair", HornFormula((eq(x), eq(Var("y"))), eq(pair(x, Var("y"))))),
+    ]
+)
+
+
+def random_list(rng, n):
+    t = Nil
+    for _ in range(n):
+        t = mk_app(Const("Cons"), rng.choice([Int, Const("Unit")]), t)
+    return t
+
+
+def random_pair(rng, depth):
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice([Int, Int, Const("Unit")])
+    return pair(random_pair(rng, depth - 1), random_pair(rng, depth - 1))
+
+
+def cases(seed, count):
+    """(env, goal) pairs of every generated shape: overlapping and
+    non-overlapping looping programs, terminating programs, and chain, list
+    and pair goals (some with an irreducible atom inside)."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        shape = k % 6
+        if shape < 2:
+            env = random_looping_env(rng, overlapping=shape == 0)
+            out.append((env, random_loop_goal(rng, env)))
+        elif shape == 2:
+            out.append(random_terminating_case(rng))
+        elif shape == 3:
+            out.append((CHAIN, eq(nat(rng.randint(0, 60)))))
+        elif shape == 4:
+            out.append((LIST, eq(random_list(rng, rng.randint(0, 30)))))
+        else:
+            out.append((PAIR, eq(random_pair(rng, rng.randint(0, 5)))))
+    return out
+
+
+def random_state(rng, depth):
+    """A mixed term with atoms under applications, lambdas and fixed
+    points, beside axioms, variables and holes."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return rng.choice(
+            [
+                MAtom(eq(random_pair(rng, 2))),
+                MAtom(eq(Const("Unit"))),
+                MAtom(eq(random_list(rng, 2))),
+                EAxiom("K"),
+                EVar("v"),
+                Hole(),
+            ]
+        )
+    if roll < 0.75:
+        return EApp(random_state(rng, depth - 1), random_state(rng, depth - 1))
+    return rng.choice([ELam, EMu])("b", random_state(rng, depth - 1))
+
+
+# ---------------------------------------------------------------------------
+# The machine against the reference `step`
+
+
+def test_small_steps_yield_exactly_the_reference_states():
+    ended = cut = 0
+    for env, goal in cases(11, 180):
+        expected = list(islice(ref_steps(env, MAtom(goal)), 121))
+        got = list(islice(small_steps(env, MAtom(goal)), 121))
+        assert got == expected
+        if len(expected) <= 120:
+            ended += 1
+        else:
+            cut += 1
+    assert ended > 40 and cut > 10  # both normal forms and budget cuts
+
+
+def test_step_on_mixed_states_matches_the_reference():
+    rng = random.Random(3)
+    env = LIST.extended(*PAIR.clauses()[1:])
+    for _ in range(300):
+        state = random_state(rng, 5)
+        assert step(env, state) == ref_step(env, state)
+        got = list(islice(small_steps(env, state), 60))
+        assert got == list(islice(ref_steps(env, state), 60))
+
+
+def test_step_count_is_the_trace_length():
+    for env, goal in cases(12, 60):
+        total = sum(1 for _ in islice(ref_steps(env, MAtom(goal)), 401)) - 1
+        for k in (0, 1, 40, 400):
+            assert count_steps(env, goal, k) == len(trace(env, goal, k)) - 1
+            assert count_steps(env, goal, k) == min(k, total)
+
+
+def test_machine_keeps_the_count_of_reducible_atoms():
+    for env, goal in cases(13, 60):
+        m = StepMachine(env, MAtom(goal))
+        for state in islice(ref_steps(env, MAtom(goal)), 80):
+            assert m.state() == state
+            assert m.reducible == sum(ref_reducible(env, a) for _, a in ref_atoms(state))
+            if m.reducible:
+                path, atom = next(
+                    (p, a) for p, a in ref_atoms(state) if ref_reducible(env, a)
+                )
+                assert (m.redex(), m.position()) == (atom, path)
+            m.advance()
+
+
+# ---------------------------------------------------------------------------
+# Loop detection against the reference versions
+
+
+def corpus_goals():
+    out = []
+    for name, goal in GROUND_GOALS:
+        env = cli._axiom_env(cli._load(str(CORPUS / name)))
+        out.append((env, parse_atom(goal)))
+    return out
+
+
+def loop_cases(ground=60, open_=40):
+    """The corpus goals, then generated ground goals and open clause-head
+    goals (which often have simple loops) of looping programs."""
+    out = corpus_goals()
+    rng = random.Random(21)
+    for k in range(ground):
+        env = random_looping_env(rng, overlapping=k % 2 == 0)
+        out.append((env, random_loop_goal(rng, env)))
+    rng = random.Random(22)
+    for k in range(open_):
+        env = random_looping_env(rng, overlapping=k % 2 == 0)
+        head = rng.choice([e.formula.head for e in env])
+        out.append((env, head))
+    return out
+
+
+def points(fn, loop, n, fuel):
+    try:
+        return fn(loop, n, fuel)
+    except FuelExhausted:
+        return "FuelExhausted"
+
+
+@pytest.mark.parametrize("fuel,generated", [(40, 50), (150, 50), (400, 8)])
+def test_loop_detection_and_points_match_the_reference(fuel, generated):
+    found = 0
+    for env, goal in loop_cases(generated, generated):
+        loop = detect_simple_loop(env, goal, fuel)
+        assert loop == ref_detect_simple_loop(env, goal, fuel), goal
+        if loop is None:
+            continue
+        found += 1
+        for n in (1, 3):
+            assert points(observational_points, loop, n, fuel) == points(
+                ref_observational_points, loop, n, fuel
+            )
+    assert found >= 3
+
+
+def test_hypothesis_contexts_match_the_reference():
+    # the contexts are asked of irreducible atoms, the loop hypotheses
+    found = 0
+    for env, goal in loop_cases()[10:]:
+        seen = {a for s in islice(ref_steps(env, MAtom(goal)), 12) for _, a in ref_atoms(s)}
+        starts = sorted((a for a in seen if ref_reducible(env, a)), key=repr)[:3]
+        hyps = sorted((a for a in seen if not ref_reducible(env, a)), key=repr)[:3]
+        for start in starts:
+            for d in hyps:
+                for fuel in (0, 1, 3, 40):
+                    got = _hyp_context(env, start, d, fuel)
+                    assert got == ref_hyp_context(env, start, d, fuel)
+                    found += got is not None
+    assert found > 20
+
+
+# ---------------------------------------------------------------------------
+# Bounded cost
+
+
+def test_detect_simple_loop_on_bush_at_the_default_fuel():
+    env = cli._axiom_env(cli._load(str(CORPUS / "bush.asl")))
+    start = time.perf_counter()
+    assert detect_simple_loop(env, parse_atom("Eq (Mu HBush Unit)"), 10_000) is None
+    assert time.perf_counter() - start < 10  # well under 1 s on a quiet host
+
+
+@pytest.mark.parametrize("name,goal", GROUND_GOALS)
+def test_obs_ends_at_the_default_fuel(name, goal):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["obs", str(CORPUS / name), "--goal", goal, "-n", "3"])
+    verdict = out.getvalue().splitlines()[-1].strip()
+    if name == "evenodd.asl":
+        assert (code, verdict) == (0, "equivalent: yes")
+    else:
+        assert (code, verdict) == (1, "no simple loop detected")
+
+
+def test_obs_check_ends_at_the_default_fuel():
+    for name, goal in GROUND_GOALS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli.main(["check", str(CORPUS / name), "--obs-check", "3"])
+        lines = out.getvalue().splitlines()
+        at = lines.index(f"Observational equivalence for {goal} (n=3)")
+        expected = "equivalent: yes" if name == "evenodd.asl" else "no simple loop detected"
+        assert expected in [line.strip() for line in lines[at:]]
+
+
+def _best_time(fn, repeats=3):
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_step_count_scales_linearly_in_depth():
+    small, large = eq(nat(500)), eq(nat(4000))
+    assert count_steps(CHAIN, large) == 4001
+    t_small = _best_time(lambda: count_steps(CHAIN, small))
+    t_large = _best_time(lambda: count_steps(CHAIN, large))
+    assert t_large < 20 * t_small  # linear is about 8x
+
+
+def test_machine_needs_no_recursion_limit_on_deep_chains():
+    # in a child, because `cli.main` raises this interpreter's limit
+    code = """
+import sys
+from cohorn.resolve import AxiomEnv, StepMachine, axiom
+from cohorn.syntax import App, Atom, Const, HornFormula, MAtom, Var, fact
+assert sys.getrecursionlimit() <= 1000
+S, Z, x = Const("S"), Const("Z"), Var("x")
+env = AxiomEnv([axiom("KZ", fact(Atom("Eq", (Z,)))),
+                axiom("KS", HornFormula((Atom("Eq", (x,)),), Atom("Eq", (App(S, x),))))])
+t = Z
+for _ in range(10_000):
+    t = App(S, t)
+m = StepMachine(env, MAtom(Atom("Eq", (t,))))
+while m.advance():
+    pass
+state, depth = m.state(), 0
+while hasattr(state, "arg"):
+    state, depth = state.arg, depth + 1
+print(m.steps, depth)
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(CORPUS.parent.parent / "src")},
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["10001", "10000"]
+
+
+def test_json_steps_builds_no_state(monkeypatch):
+    def no_trace(*args):
+        raise AssertionError("the JSON step count replayed the trace")
+
+    monkeypatch.setattr(cli, "small_step_trace", no_trace)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["check", str(CORPUS / "pair.asl"), "--json"]) == 0
+    assert '"steps": 3' in out.getvalue()
