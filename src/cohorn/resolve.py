@@ -3,7 +3,8 @@ resolution-tree construction.
 
 The big-step solver is an explicit-stack machine (divergent searches reach
 depths far beyond Python's recursion limit) with chronological backtracking
-over clause choices, all bounded by fuel.
+over clause choices, all bounded by fuel.  Its search state is immutable,
+so a choice point stores it in O(1).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import enum
 from bisect import bisect_left
 from collections import deque
 from itertools import islice
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import (
@@ -273,16 +274,13 @@ class Fuel:
 # Clause selection policies
 
 
-class ClausePolicy:
-    """Orders the environment entries tried against one subgoal."""
+class NewestFirst:
+    """Plain resolution order: lemmas shadow axioms, newest entry first.
 
-    def candidates(self, env: AxiomEnv, goal: Atom, guard_depth: int):
-        """Return (list of (entry, substitution), blocked_cohyp flag)."""
-        raise NotImplementedError
-
-
-class NewestFirst(ClausePolicy):
-    """Plain resolution order: lemmas shadow axioms, newest entry first."""
+    A policy orders the environment entries tried against one subgoal:
+    `candidates` returns the list of (entry, substitution) pairs to try, in
+    order, and a flag that is set when a cohypothesis matched but was
+    withheld by the guardedness restriction."""
 
     def candidates(self, env, goal, guard_depth):
         out = []
@@ -293,7 +291,7 @@ class NewestFirst(ClausePolicy):
         return out, False
 
 
-class CorecPolicy(ClausePolicy):
+class CorecPolicy:
     """Order used while proving a Horn formula corecursively: hypotheses
     first (exact atom match), then the coinductive hypothesis when the
     subgoal sits strictly beneath at least one axiom or lemma application,
@@ -329,38 +327,14 @@ NEWEST_FIRST = NewestFirst()
 # Big-step resolution
 
 
-@dataclass
-class _Frame:
-    ref: Optional[Evidence]  # None marks the root frame
-    pending: list[tuple[Atom, int]]  # (subgoal, guard depth), leftmost first
-    done: list[Evidence] = field(default_factory=list)
-    goal: Optional[tuple[Atom, int]] = None  # what the frame proves, at what depth
-
-    def snapshot(self) -> "_Frame":
-        return _Frame(self.ref, list(self.pending), list(self.done), self.goal)
-
-
 FIRST_CYCLE_CHECK = 16
-
-
-def _path_repeats(stack: list[_Frame]) -> bool:
-    """True when two frames on the derivation path prove the same atom at
-    guard depths that select the same candidates: equal, or both >= 1."""
-    seen = set()
-    for frame in stack[1:]:
-        atom, depth = frame.goal
-        key = (atom, min(depth, 1))
-        if key in seen:
-            return True
-        seen.add(key)
-    return False
 
 
 def resolve(
     env: AxiomEnv,
     goal: Atom,
     fuel: Fuel | int = 10_000,
-    policy: ClausePolicy = NEWEST_FIRST,
+    policy: NewestFirst | CorecPolicy = NEWEST_FIRST,
     guard_depth: int = 0,
 ) -> Evidence:
     """Prove an atomic goal by term-matching resolution.
@@ -370,79 +344,86 @@ def resolve(
     runs out, Stuck when every alternative fails, and GuardViolation when
     failure is due only to the guardedness restriction.
 
+    The search state is immutable, so a choice point stores it in O(1):
+    `todo` is a linked list (item, rest) of pending work, leftmost first,
+    and `done` a linked list of the proofs found so far, newest first.  An
+    item is a subgoal (atom, depth) or a closer (ref, n, atom, depth), which
+    sits right after the n body subgoals of the clause application that
+    proved atom at guard depth `depth` and applies ref to their n proofs.
+    A choice point is (candidates, next index, atom, depth, todo, done).
+
     Cycle rule: FuelExhausted is also raised as soon as the current
-    derivation path proves one atom twice at guard depths that are equal or
-    both >= 1, since the policies offer the same candidates at such depths.
-    Subgoals share no variables, so the search below the repeat replays the
-    search below its first occurrence: it meets the atom again, and the
-    continuation that rejected the first occurrence's solutions rejects the
-    repeat's.  No answer or failure can follow, and with any finite budget
-    the run would end in FuelExhausted anyway.  The path is checked when the
-    count of clause applications reaches 16, 32, 64, ..., so the checks cost
-    amortised O(1) per application; terms cache their hashes, so hashing a
-    path costs only its newly built terms.  The rule assumes a policy whose
-    candidates depend on the guard depth only through `depth >= 1`, as
-    `NewestFirst` and `CorecPolicy` do.
+    derivation path, the closers in `todo`, proves one atom twice at guard
+    depths that are equal or both >= 1, since the policies offer the same
+    candidates at such depths.  Subgoals share no variables, so the search
+    below the repeat replays the search below its first occurrence: it
+    meets the atom again, and the continuation that rejected the first
+    occurrence's solutions rejects the repeat's.  No answer or failure can
+    follow, and with any finite budget the run would end in FuelExhausted
+    anyway.  The path is checked when the count of clause applications
+    reaches 16, 32, 64, ..., so the checks cost amortised O(1) per
+    application; terms cache their hashes, so hashing a path costs only its
+    newly built terms.  The rule assumes a policy whose candidates depend
+    on the guard depth only through `depth >= 1`, as `NewestFirst` and
+    `CorecPolicy` do.
     """
     if isinstance(fuel, int):
         fuel = Fuel(fuel)
-    stack: list[_Frame] = [_Frame(None, [(goal, guard_depth)])]
-    # each choice point: remaining candidates plus a copy of the whole stack
-    choices: list[tuple[list, int, list[_Frame]]] = []
+    todo = ((goal, guard_depth), None)
+    done = None
+    choices: list[tuple] = []
     stuck_at: Optional[Atom] = None
     saw_blocked = False
     applied = 0
     next_check = FIRST_CYCLE_CHECK
 
-    def enter(atom: Atom, depth: int, entry: Entry, sigma):
-        nonlocal applied, next_check
+    while todo is not None:
+        item, todo = todo
+        if len(item) == 4:  # a closer: apply ref to the n newest proofs
+            ref, n = item[0], item[1]
+            args = []
+            for _ in range(n):
+                ev, done = done
+                args.append(ev)
+            done = (mk_eapp(ref, *reversed(args)), done)
+            continue
+        atom, depth = item
+        cands, blocked = policy.candidates(env, atom, depth)
+        saw_blocked = saw_blocked or blocked
+        i = 0
+        if len(cands) > 1:
+            choices.append((cands, 1, atom, depth, todo, done))
+        elif not cands:
+            # dead end: chronological backtracking
+            if stuck_at is None and not blocked:
+                stuck_at = atom
+            if not choices:
+                if saw_blocked and stuck_at is None:
+                    raise GuardViolation(goal)
+                raise Stuck(stuck_at if stuck_at is not None else goal)
+            cands, i, atom, depth, todo, done = choices.pop()
+            if i + 1 < len(cands):
+                choices.append((cands, i + 1, atom, depth, todo, done))
+        entry, sigma = cands[i]
         fuel.spend()
+        body = entry.formula.body
+        todo = ((entry.ref(), len(body), atom, depth), todo)
         inc = 1 if entry.kind in CLAUSE_KINDS else 0
-        pending = [(apply(sigma, b), depth + inc) for b in entry.formula.body]
-        stack.append(_Frame(entry.ref(), pending, goal=(atom, depth)))
+        for b in reversed(body):
+            todo = ((apply(sigma, b), depth + inc), todo)
         applied += 1
         if applied == next_check:
             next_check *= 2
-            if _path_repeats(stack):
-                raise FuelExhausted()
-
-    while True:
-        top = stack[-1]
-        if not top.pending:
-            stack.pop()
-            ev = top.done[0] if top.ref is None else mk_eapp(top.ref, *top.done)
-            if not stack:
-                return ev
-            stack[-1].done.append(ev)
-            continue
-        atom, depth = top.pending.pop(0)
-        cands, blocked = policy.candidates(env, atom, depth)
-        saw_blocked = saw_blocked or blocked
-        if cands:
-            if len(cands) > 1:
-                snap = [f.snapshot() for f in stack]
-                snap[-1].pending.insert(0, (atom, depth))
-                choices.append((cands, 1, snap))
-            entry, sigma = cands[0]
-            enter(atom, depth, entry, sigma)
-            continue
-        # dead end: chronological backtracking
-        if stuck_at is None and not blocked:
-            stuck_at = atom
-        while choices:
-            cands, i, snap = choices.pop()
-            if i < len(cands):
-                stack = [f.snapshot() for f in snap]
-                if i + 1 < len(cands):
-                    choices.append((cands, i + 1, snap))
-                atom, depth = stack[-1].pending.pop(0)
-                entry, sigma = cands[i]
-                enter(atom, depth, entry, sigma)
-                break
-        else:
-            if saw_blocked and stuck_at is None:
-                raise GuardViolation(goal)
-            raise Stuck(stuck_at if stuck_at is not None else goal)
+            seen = set()
+            rest = todo
+            while rest is not None:
+                work, rest = rest
+                if len(work) == 4:
+                    key = (work[2], min(work[3], 1))
+                    if key in seen:
+                        raise FuelExhausted()
+                    seen.add(key)
+    return done[0]
 
 
 # ---------------------------------------------------------------------------

@@ -301,22 +301,24 @@ def compose(s2: Subst, s1: Subst) -> Subst:
 
 
 def match_term(pattern: Term, subject: Term, binds: Subst) -> bool:
-    if isinstance(pattern, Var):
-        bound = binds.get(pattern.name)
-        if bound is None:
-            binds[pattern.name] = subject
-            return True
-        return bound == subject
-    if isinstance(pattern, Const):
-        return isinstance(subject, Const) and pattern.name == subject.name
-    if isinstance(pattern, Eigen):
-        return pattern == subject
-    # application: subject must be an application too
-    return (
-        isinstance(subject, App)
-        and match_term(pattern.fun, subject.fun, binds)
-        and match_term(pattern.arg, subject.arg, binds)
-    )
+    while True:
+        if isinstance(pattern, Var):
+            bound = binds.get(pattern.name)
+            if bound is None:
+                binds[pattern.name] = subject
+                return True
+            return bound == subject
+        if isinstance(pattern, Const):
+            return isinstance(subject, Const) and pattern.name == subject.name
+        if isinstance(pattern, Eigen):
+            return pattern == subject
+        # application: subject must be an application too; the argument is
+        # matched by the loop, so only nesting through `fun` recurses
+        if not (
+            isinstance(subject, App) and match_term(pattern.fun, subject.fun, binds)
+        ):
+            return False
+        pattern, subject = pattern.arg, subject.arg
 
 
 def match(pattern: Atom, subject: Atom) -> Optional[Subst]:

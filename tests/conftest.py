@@ -3,6 +3,7 @@ generators used by the property suites."""
 
 import pathlib
 import random
+import time
 
 import pytest
 
@@ -123,6 +124,16 @@ def phi_d() -> AxiomEnv:
             axiom("K2", HornFormula((d(App(S, m), Z),), d(Z, m))),
         ]
     )
+
+
+def best_time(fn, repeats=3):
+    """The shortest wall time of `repeats` calls of fn."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 
 from conftest import (
     CORPUS,
+    best_time,
     random_loop_goal,
     random_looping_env,
     random_terminating_case,
@@ -402,20 +403,11 @@ def test_obs_check_ends_at_the_default_fuel():
         assert expected in [line.strip() for line in lines[at:]]
 
 
-def _best_time(fn, repeats=3):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def test_step_count_scales_linearly_in_depth():
     small, large = eq(nat(500)), eq(nat(4000))
     assert count_steps(CHAIN, large) == 4001
-    t_small = _best_time(lambda: count_steps(CHAIN, small))
-    t_large = _best_time(lambda: count_steps(CHAIN, large))
+    t_small = best_time(lambda: count_steps(CHAIN, small))
+    t_large = best_time(lambda: count_steps(CHAIN, large))
     assert t_large < 20 * t_small  # linear is about 8x
 
 
@@ -460,3 +452,31 @@ def test_json_steps_builds_no_state(monkeypatch):
     with contextlib.redirect_stdout(out):
         assert cli.main(["check", str(CORPUS / "pair.asl"), "--json"]) == 0
     assert '"steps": 3' in out.getvalue()
+
+
+def test_simple_loop_search_needs_no_recursion_limit_on_deep_chains():
+    # matching the goal against each redex walks the chain's argument spine
+    # in a loop; in a child, because `cli.main` raises this interpreter's limit
+    code = """
+import sys
+from cohorn.evidence import detect_simple_loop
+from cohorn.resolve import AxiomEnv, axiom
+from cohorn.syntax import App, Atom, Const, HornFormula, Var, fact
+assert sys.getrecursionlimit() <= 1000
+S, Z, x = Const("S"), Const("Z"), Var("x")
+env = AxiomEnv([axiom("KZ", fact(Atom("Eq", (Z,)))),
+                axiom("KS", HornFormula((Atom("Eq", (x,)),), Atom("Eq", (App(S, x),))))])
+t = Z
+for _ in range(2000):
+    t = App(S, t)
+print(detect_simple_loop(env, Atom("Eq", (t,))))
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(CORPUS.parent.parent / "src")},
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["None"]

@@ -1,11 +1,15 @@
+from __future__ import annotations
+
 import random
 import sys
 import threading
 import time
+from dataclasses import dataclass, field
+from typing import Optional
 
 import pytest
 
-from cohorn.evidence import _reducible
+from cohorn.evidence import _reducible, type_check
 from cohorn.resolve import (
     NEWEST_FIRST,
     AxiomEnv,
@@ -45,6 +49,7 @@ from cohorn.syntax import (
     pair,
 )
 from conftest import (
+    best_time,
     eq,
     random_index_goal,
     random_index_head,
@@ -520,6 +525,21 @@ def outcome(run):
         return "FuelExhausted", None
 
 
+def corec_setting(rng, env):
+    """`env` extended for the corecursive setting: a cohypothesis and
+    hypotheses in scope; a cohypothesis with a variable head is blocked at
+    every root goal."""
+    co = random_loop_clause(rng)
+    if rng.random() < 0.5:
+        head = Atom(co.head.pred, (Var("x"),))
+        co = HornFormula(random_loop_body(rng, head), head)
+    return env.extended(
+        cohypothesis("r", co),
+        hypothesis("b0", random_loop_goal(rng, env)),
+        hypothesis("b1", random_loop_goal(rng, env)),
+    )
+
+
 def test_cycle_rule_tells_an_unguarded_atom_from_its_guarded_repeat():
     # P n at depth 0 comes back as P n at depth 2, where the cohypothesis
     # Z x => P x is offered; proving Z n takes more than 16 applications, so
@@ -551,17 +571,7 @@ def test_cycle_rule_agrees_with_the_full_fuel_burn():
     cut_short = 0
     for _ in range(24):
         env = random_looping_env(rng, overlapping=True)
-        # the corecursive setting: a cohypothesis and hypotheses in scope; a
-        # cohypothesis with a variable head is blocked at every root goal
-        co = random_loop_clause(rng)
-        if rng.random() < 0.5:
-            head = Atom(co.head.pred, (Var("x"),))
-            co = HornFormula(random_loop_body(rng, head), head)
-        work = env.extended(
-            cohypothesis("r", co),
-            hypothesis("b0", random_loop_goal(rng, env)),
-            hypothesis("b1", random_loop_goal(rng, env)),
-        )
+        work = corec_setting(rng, env)
         for _ in range(4):
             goal = random_loop_goal(rng, env)
             for e, policy in ((env, NEWEST_FIRST), (work, CorecPolicy())):
@@ -576,3 +586,205 @@ def test_cycle_rule_agrees_with_the_full_fuel_burn():
                     cut_short += new_fuel.remaining > max(ref_fuel.remaining, 0)
     assert min(seen.values()) >= 10, seen
     assert cut_short >= 50, cut_short
+
+
+# ---------------------------------------------------------------------------
+# resolve over an immutable search state agrees with the resolve that copied
+# the whole stack at every choice point, down to the fuel it leaves.  That
+# resolve is kept below verbatim, renamed; its annotations, which name the
+# base class `ClausePolicy` it was written against, are never evaluated.
+
+
+@dataclass
+class _Frame:
+    ref: Optional[Evidence]  # None marks the root frame
+    pending: list[tuple[Atom, int]]  # (subgoal, guard depth), leftmost first
+    done: list[Evidence] = field(default_factory=list)
+    goal: Optional[tuple[Atom, int]] = None  # what the frame proves, at what depth
+
+    def snapshot(self) -> "_Frame":
+        return _Frame(self.ref, list(self.pending), list(self.done), self.goal)
+
+
+FIRST_CYCLE_CHECK = 16
+
+
+def _path_repeats(stack: list[_Frame]) -> bool:
+    """True when two frames on the derivation path prove the same atom at
+    guard depths that select the same candidates: equal, or both >= 1."""
+    seen = set()
+    for frame in stack[1:]:
+        atom, depth = frame.goal
+        key = (atom, min(depth, 1))
+        if key in seen:
+            return True
+        seen.add(key)
+    return False
+
+
+def snapshot_resolve(
+    env: AxiomEnv,
+    goal: Atom,
+    fuel: Fuel | int = 10_000,
+    policy: ClausePolicy = NEWEST_FIRST,
+    guard_depth: int = 0,
+) -> Evidence:
+    """Prove an atomic goal by term-matching resolution.
+
+    Clause choice follows `policy` with chronological backtracking, one
+    fuel unit per clause application.  Raises FuelExhausted when the budget
+    runs out, Stuck when every alternative fails, and GuardViolation when
+    failure is due only to the guardedness restriction.
+
+    Cycle rule: FuelExhausted is also raised as soon as the current
+    derivation path proves one atom twice at guard depths that are equal or
+    both >= 1, since the policies offer the same candidates at such depths.
+    Subgoals share no variables, so the search below the repeat replays the
+    search below its first occurrence: it meets the atom again, and the
+    continuation that rejected the first occurrence's solutions rejects the
+    repeat's.  No answer or failure can follow, and with any finite budget
+    the run would end in FuelExhausted anyway.  The path is checked when the
+    count of clause applications reaches 16, 32, 64, ..., so the checks cost
+    amortised O(1) per application; terms cache their hashes, so hashing a
+    path costs only its newly built terms.  The rule assumes a policy whose
+    candidates depend on the guard depth only through `depth >= 1`, as
+    `NewestFirst` and `CorecPolicy` do.
+    """
+    if isinstance(fuel, int):
+        fuel = Fuel(fuel)
+    stack: list[_Frame] = [_Frame(None, [(goal, guard_depth)])]
+    # each choice point: remaining candidates plus a copy of the whole stack
+    choices: list[tuple[list, int, list[_Frame]]] = []
+    stuck_at: Optional[Atom] = None
+    saw_blocked = False
+    applied = 0
+    next_check = FIRST_CYCLE_CHECK
+
+    def enter(atom: Atom, depth: int, entry: Entry, sigma):
+        nonlocal applied, next_check
+        fuel.spend()
+        inc = 1 if entry.kind in CLAUSE_KINDS else 0
+        pending = [(apply(sigma, b), depth + inc) for b in entry.formula.body]
+        stack.append(_Frame(entry.ref(), pending, goal=(atom, depth)))
+        applied += 1
+        if applied == next_check:
+            next_check *= 2
+            if _path_repeats(stack):
+                raise FuelExhausted()
+
+    while True:
+        top = stack[-1]
+        if not top.pending:
+            stack.pop()
+            ev = top.done[0] if top.ref is None else mk_eapp(top.ref, *top.done)
+            if not stack:
+                return ev
+            stack[-1].done.append(ev)
+            continue
+        atom, depth = top.pending.pop(0)
+        cands, blocked = policy.candidates(env, atom, depth)
+        saw_blocked = saw_blocked or blocked
+        if cands:
+            if len(cands) > 1:
+                snap = [f.snapshot() for f in stack]
+                snap[-1].pending.insert(0, (atom, depth))
+                choices.append((cands, 1, snap))
+            entry, sigma = cands[0]
+            enter(atom, depth, entry, sigma)
+            continue
+        # dead end: chronological backtracking
+        if stuck_at is None and not blocked:
+            stuck_at = atom
+        while choices:
+            cands, i, snap = choices.pop()
+            if i < len(cands):
+                stack = [f.snapshot() for f in snap]
+                if i + 1 < len(cands):
+                    choices.append((cands, i + 1, snap))
+                atom, depth = stack[-1].pending.pop(0)
+                entry, sigma = cands[i]
+                enter(atom, depth, entry, sigma)
+                break
+        else:
+            if saw_blocked and stuck_at is None:
+                raise GuardViolation(goal)
+            raise Stuck(stuck_at if stuck_at is not None else goal)
+
+
+def test_resolve_agrees_with_the_snapshotting_resolve():
+    rng = random.Random(17)
+    seen = {"evidence": 0, "Stuck": 0, "GuardViolation": 0, "FuelExhausted": 0}
+    runs = 0
+    for k in range(64):
+        env = random_looping_env(rng, overlapping=k % 5 != 0)
+        work = corec_setting(rng, env)
+        for _ in range(4):
+            goal = random_loop_goal(rng, env)
+            for e, policy in ((env, NEWEST_FIRST), (work, CorecPolicy())):
+                for budget in (40, 150, 400, 1500):
+                    old_fuel, new_fuel = Fuel(budget), Fuel(budget)
+                    expected = outcome(
+                        lambda: snapshot_resolve(e, goal, old_fuel, policy)
+                    )
+                    got = outcome(lambda: resolve(e, goal, new_fuel, policy))
+                    assert (got, new_fuel.remaining) == (
+                        expected,
+                        old_fuel.remaining,
+                    ), (e, goal, policy, budget)
+                    seen[got[0]] += 1
+                    runs += 1
+    assert runs >= 2000
+    assert min(seen.values()) >= 20, seen
+
+
+def test_resolve_cost_is_linear_in_choice_points():
+    # every level is a choice point: the newest clause leads to Q, which no
+    # clause proves, so each level backtracks once before KS succeeds
+    S, Z = Const("S"), Const("Z")
+    x = Var("x")
+    p = lambda t: Atom("P", (t,))
+    env = AxiomEnv(
+        [
+            axiom("KZ", fact(p(Z))),
+            axiom("KS", HornFormula((p(x),), p(App(S, x)))),
+            axiom("KQ", HornFormula((Atom("Q", (x,)),), p(App(S, x)))),
+        ]
+    )
+
+    def goal(n):
+        t = Z
+        for _ in range(n):
+            t = App(S, t)
+        return p(t)
+
+    small, large = goal(300), goal(2400)
+    ev, depth = resolve(env, large), 0
+    while isinstance(ev, EApp):
+        assert ev.fun == EAxiom("KS")
+        ev, depth = ev.arg, depth + 1
+    assert (ev, depth) == (EAxiom("KZ"), 2400)
+    t_small = best_time(lambda: resolve(env, small))
+    t_large = best_time(lambda: resolve(env, large))
+    assert t_large < 20 * t_small  # linear is about 8x
+
+
+# ---------------------------------------------------------------------------
+# evidence soundness: what resolve returns type-checks
+
+
+def test_resolve_evidence_type_checks_where_it_was_found():
+    rng = random.Random(23)
+    checked = 0
+    for _ in range(60):
+        env = random_looping_env(rng, overlapping=True)
+        work = corec_setting(rng, env)
+        for _ in range(4):
+            goal = random_loop_goal(rng, env)
+            for e, policy in ((env, NEWEST_FIRST), (work, CorecPolicy())):
+                try:
+                    ev = resolve(e, goal, 400, policy)
+                except (FuelExhausted, Stuck, GuardViolation):
+                    continue
+                assert type_check(e, ev, fact(goal)) == (True, []), (e, goal, ev)
+                checked += 1
+    assert checked >= 100, checked
