@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from .evidence import hnf, type_check
 from .loopdetect import (
@@ -37,6 +37,7 @@ from .resolve import (
     resolve,
 )
 from .syntax import (
+    Atom,
     ELam,
     EMu,
     Eigen,
@@ -50,8 +51,10 @@ from .syntax import (
 )
 
 
-# the resolution tree's node bound and the abstract unfolding budget
+# the resolution tree's node bound, the smaller bounds of the breadth-first
+# prefixes tried first, and the abstract unfolding budget
 TREE_NODES = 10_000
+TREE_PREFIXES = (16, 64, 256)
 ABSTRACT_FUEL = 1_000
 
 
@@ -144,15 +147,44 @@ INCONCLUSIVE = "Inconclusive"
 class LoopAnalysis:
     """What the divergence analysis of one round saw, kept for --explain."""
 
-    tree: ResolutionTree
+    env: AxiomEnv
+    goal: Atom
+    depth: int
     closed: Optional[ClosedSubtree]
     abstract: Optional[ResolutionTree]  # the abstract representation
 
     @cached_property
     def triples(self) -> list[CriticalTriple]:
-        """Every critical triple of the tree, computed on first use: only
-        --explain reads them."""
-        return find_critical_triples(self.tree)
+        """Every critical triple of the full bounded tree, which is built
+        again on first use: only --explain reads them, and the closed
+        subtree may have been found on a prefix."""
+        return find_critical_triples(
+            build_tree(self.env, self.goal, self.depth, TREE_NODES)
+        )
+
+
+def _find_closed_subtree(
+    env: AxiomEnv, goal: Atom, depth: int
+) -> Union[ClosedSubtree, NoClosedSubtree]:
+    """`closed_subtree` of the breadth-first tree bounded by TREE_NODES,
+    read off the smallest of TREE_PREFIXES that settles it.
+
+    A node expanded in a prefix was expanded before the first node the
+    bound refused, so it, its clause and its children are those of the full
+    tree.  A prefix therefore settles the answer when it is not truncated
+    (it is the full tree), or when its least critical-triple upper is the
+    root, the least possible one, and the depth-first walk from there met
+    no unexpanded node.  The full tree raises OverlapError on any node
+    two clause heads match, and a prefix could miss that node, so prefixes
+    are tried only when no two heads unify.  Raises OverlapError."""
+    prefixes = () if env.heads_overlap() else TREE_PREFIXES
+    for n in (*(n for n in prefixes if n < TREE_NODES), TREE_NODES):
+        tree = build_tree(env, goal, depth, n)
+        cs = closed_subtree(tree)
+        reached_frontier = isinstance(cs, NoClosedSubtree) and cs.inconclusive
+        if not tree.truncated or (cs.root == () and not reached_frontier):
+            break
+    return cs
 
 
 @dataclass
@@ -222,18 +254,17 @@ def auto(
                 analysis=analysis,
             )
         try:
-            tree = build_tree(cur, goal.head, cfg.tree_depth, TREE_NODES)
+            cs = _find_closed_subtree(cur, goal.head, cfg.tree_depth)
         except OverlapError as ex:
             return AutoReport(goal, INCONCLUSIVE, reason=str(ex))
-        cs = closed_subtree(tree)
         if isinstance(cs, NoClosedSubtree):
-            analysis = LoopAnalysis(tree, None, None)
+            analysis = LoopAnalysis(cur, goal.head, cfg.tree_depth, None, None)
             outcome = INCONCLUSIVE if cs.inconclusive else NO_LOOP_FOUND
             return AutoReport(goal, outcome, reason=cs.reason, analysis=analysis)
         try:
             at = abstract_representation(cs, cur, ABSTRACT_FUEL)
         except FuelExhausted:
-            analysis = LoopAnalysis(tree, cs, None)
+            analysis = LoopAnalysis(cur, goal.head, cfg.tree_depth, cs, None)
             return AutoReport(
                 goal,
                 INCONCLUSIVE,
@@ -242,7 +273,7 @@ def auto(
             )
         except OverlapError as ex:
             return AutoReport(goal, INCONCLUSIVE, reason=str(ex))
-        analysis = LoopAnalysis(tree, cs, at)
+        analysis = LoopAnalysis(cur, goal.head, cfg.tree_depth, cs, at)
         cand, why = candidate_lemma(at, cur)
         if cand is None:
             return AutoReport(goal, NO_LOOP_FOUND, reason=why, analysis=analysis)

@@ -164,6 +164,7 @@ class ClosedSubtree:
 class NoClosedSubtree:
     reason: str
     inconclusive: bool
+    root: Optional[Path] = None  # the least critical-triple upper, if any
 
 
 def _is_critical_with(
@@ -217,12 +218,14 @@ def closed_subtree(tree: ResolutionTree) -> Union[ClosedSubtree, NoClosedSubtree
             return NoClosedSubtree(
                 f"truncation frontier reached at {pos} before the subtree closed",
                 inconclusive=True,
+                root=root,
             )
         if st is NodeStatus.STUCK:
             return NoClosedSubtree(
                 f"branch ends irreducible at {render_atom(tree.nodes[pos])} "
                 "without forming a critical triple",
                 inconclusive=False,
+                root=root,
             )
         stack.extend(reversed(tree.children(pos)))
     return ClosedSubtree(tree, root, _bfs_order(positions), _bfs_order(critical))

@@ -33,6 +33,7 @@ from .syntax import (
     match,
     mk_eapp,
     render_atom,
+    unifiable,
 )
 
 
@@ -104,6 +105,7 @@ class _ClauseStore:
         self.entries: list[Entry] = []
         self.positions: dict[str, int] = {}
         self.buckets: dict[tuple, list[int]] = {}
+        self.overlaps: dict[int, bool] = {}  # heads_overlap by size
         for e in entries:
             self.append(e)
 
@@ -202,6 +204,26 @@ class AxiomEnv:
 
     def clauses(self) -> list[Entry]:
         return self._store.entries[: self._size]
+
+    def heads_overlap(self) -> bool:
+        """Whether some atom matches two axiom or lemma heads, so that
+        `build_tree` may raise OverlapError somewhere.  Computed on first
+        use and kept per store and size.  Only pairs within one bucket, or
+        with the predicate's wildcard bucket, are unified: heads with
+        distinct keys cannot match one atom."""
+        store, n = self._store, self._size
+        if n not in store.overlaps:
+            heads = {
+                k: [store.entries[p].formula.head for p in store.bucket(*k, n)]
+                for k in store.buckets
+            }
+            store.overlaps[n] = any(
+                unifiable(h, g)
+                for (pred, key), found in heads.items()
+                for i, h in enumerate(found)
+                for g in found[:i] + (heads.get((pred, None), []) if key else [])
+            )
+        return store.overlaps[n]
 
     def clauses_for(self, goal: Atom) -> list[Entry]:
         """The axioms and lemmas whose head may match `goal`, oldest first:

@@ -52,7 +52,8 @@ class _CachedHash:
     costs only its new nodes.  The first call fills the caches of uncached
     subterms bottom-up with an explicit stack, so a deep term costs no deep
     C-level recursion.  The cache stays out of pickled and copied state:
-    string hashes differ between processes."""
+    string hashes differ between processes, and so does `App`'s groundness
+    flag, filled the same way."""
 
     _hash = None
 
@@ -73,6 +74,7 @@ class _CachedHash:
     def __getstate__(self):
         state = dict(self.__dict__)
         state.pop("_hash", None)
+        state.pop("_ground", None)
         return state
 
 
@@ -82,9 +84,29 @@ class App(_CachedHash):
     arg: "Term"
 
     __hash__ = _CachedHash.__hash__  # dataclass would replace an inherited one
+    _ground = None
 
     def _key(self):
         return self.fun, self.arg
+
+    def ground(self) -> bool:
+        """Whether no variable occurs in the term, kept after the first
+        call and filled bottom-up like the hash."""
+        if self._ground is None:
+            stack = [self]
+            while stack:
+                node = stack[-1]
+                subterms = node.fun, node.arg
+                missing = [t for t in subterms if type(t) is App and t._ground is None]
+                if missing:
+                    stack += missing
+                else:
+                    stack.pop()
+                    ground = all(
+                        getattr(t, "_ground", type(t) is not Var) for t in subterms
+                    )
+                    object.__setattr__(node, "_ground", ground)
+        return self._ground
 
     def __eq__(self, other):
         if other.__class__ is not App:
@@ -335,6 +357,48 @@ def match(pattern: Atom, subject: Atom) -> Optional[Subst]:
     return {x: t for x, t in binds.items() if not (isinstance(t, Var) and t.name == x)}
 
 
+def unifiable(a: Atom, b: Atom) -> bool:
+    """Whether some atom is an instance of both `a` and `b`, whose
+    variables are kept apart: a variable is bound per side, as (side, name).
+    A variable is never bound to a term it occurs in, which also keeps the
+    walk from looping."""
+    if a.pred != b.pred or len(a.args) != len(b.args):
+        return False
+    binds: dict = {}
+
+    def walk(side, t):
+        while isinstance(t, Var) and (side, t.name) in binds:
+            side, t = binds[(side, t.name)]
+        return side, t
+
+    def occurs(var, side, t) -> bool:
+        stack = [(side, t)]
+        while stack:
+            side, t = walk(*stack.pop())
+            if isinstance(t, Var):
+                if (side, t.name) == var:
+                    return True
+            elif isinstance(t, App):
+                stack += ((side, t.fun), (side, t.arg))
+        return False
+
+    stack = [((0, s), (1, t)) for s, t in zip(a.args, b.args)]
+    while stack:
+        (sa, ta), (sb, tb) = (walk(*p) for p in stack.pop())
+        if isinstance(tb, Var) and not isinstance(ta, Var):
+            (sa, ta), (sb, tb) = (sb, tb), (sa, ta)
+        if isinstance(ta, Var):
+            if (sa, ta) != (sb, tb):
+                if occurs((sa, ta.name), sb, tb):
+                    return False
+                binds[(sa, ta.name)] = (sb, tb)
+        elif isinstance(ta, App) and isinstance(tb, App):
+            stack += (((sa, ta.fun), (sb, tb.fun)), ((sa, ta.arg), (sb, tb.arg)))
+        elif isinstance(ta, App) or isinstance(tb, App) or ta != tb:
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Free variables and fresh names
 
@@ -353,7 +417,8 @@ def _iter_terms(x) -> Iterator[Term]:
 
 
 def free_vars(x) -> list[str]:
-    """Variable names in first-occurrence order."""
+    """Variable names in first-occurrence order.  Ground subterms are
+    skipped in O(1) once their flag is filled (`App.ground`)."""
     seen: dict[str, None] = {}
     stack = list(_iter_terms(x))
     stack.reverse()
@@ -361,7 +426,7 @@ def free_vars(x) -> list[str]:
         t = stack.pop()
         if isinstance(t, Var):
             seen.setdefault(t.name, None)
-        elif isinstance(t, App):
+        elif isinstance(t, App) and not t.ground():
             stack.append(t.arg)
             stack.append(t.fun)
     return list(seen)

@@ -1,19 +1,26 @@
+import contextlib
+import io
+import random
+from collections import Counter
+
 import pytest
 
-from cohorn import corec
+from cohorn import cli, corec
 from cohorn.corec import (
     DIRECTLY_PROVEN,
     INCONCLUSIVE,
     LEMMA_UNPROVABLE,
     NO_LOOP_FOUND,
     PROVEN,
+    TREE_NODES,
     ProofConfig,
     auto,
     prove_horn,
     wf_check,
 )
 from cohorn.evidence import hnf, type_check
-from cohorn.resolve import AxiomEnv, Stuck, axiom, lemma, resolve
+from cohorn.loopdetect import find_critical_triples
+from cohorn.resolve import AxiomEnv, Stuck, axiom, build_tree, lemma, resolve
 from cohorn.syntax import (
     App,
     Atom,
@@ -33,7 +40,7 @@ from cohorn.syntax import (
     pair,
     spine_evidence,
 )
-from conftest import eq
+from conftest import CORPUS, eq, random_loop_goal, random_looping_env
 
 Int, Unit, Mu = Const("Int"), Const("Unit"), Const("Mu")
 x = Var("x")
@@ -273,6 +280,173 @@ def test_auto_proofs_type_check(phi_hbush, phi_evenodd):
             final = final.extended(lem)
         ok, _ = type_check(final, report.evidence, goal)
         assert ok
+
+
+# ---------------------------------------------------------------------------
+# the closed subtree read off a breadth-first prefix of the tree
+
+
+def report_fields(report):
+    """Everything a report shows, with the closed subtree by position: the
+    tree it was read off may be a prefix."""
+    analysis = report.analysis
+    closed = analysis and analysis.closed
+    return (
+        report.outcome,
+        report.reason,
+        report.evidence,
+        report.lemmas,
+        report.candidate,
+        closed and (closed.root, closed.positions, closed.critical_leaves),
+        analysis and analysis.abstract,
+    )
+
+
+def record_trees(monkeypatch) -> list[tuple[int, int]]:
+    """(node bound, nodes) of every tree `auto` builds from now on."""
+    built = []
+    original = corec.build_tree
+
+    def recording(env, goal, depth_bound, node_bound, *rest):
+        tree = original(env, goal, depth_bound, node_bound, *rest)
+        built.append((node_bound, len(tree.nodes)))
+        return tree
+
+    monkeypatch.setattr(corec, "build_tree", recording)
+    return built
+
+
+def full_tree_only(monkeypatch, fn):
+    with monkeypatch.context() as m:
+        m.setattr(corec, "TREE_PREFIXES", ())
+        return fn()
+
+
+S, Z = Const("S"), Const("Z")
+
+
+def inner_loop_case():
+    """R Z unfolds to P Z, whose clause doubles into two bigger P atoms:
+    the least critical-triple upper is (1,), not the root, so no prefix
+    settles the closed subtree and the full tree is built."""
+    P = lambda t: Atom("P", (t,))
+    env = AxiomEnv(
+        [
+            axiom("KR", HornFormula((P(x),), Atom("R", (x,)))),
+            axiom("KP", HornFormula((P(App(S, x)), P(App(S, x))), P(x))),
+        ]
+    )
+    return env, fact(Atom("R", (Z,)))
+
+
+def cycle_case(k: int):
+    """The simple loop E (T0 B) -> E (T1 B) -> ... -> E (T0 B) through k
+    clauses, each of which also asks for E of the argument: the root repeats
+    at depth k, which deeper cycles reach only on larger prefixes."""
+    E = lambda t: Atom("E", (t,))
+    T = [Const(f"T{i}") for i in range(k)]
+    a = Var("a")
+    entries = [axiom("KB", fact(E(Const("B"))))]
+    for i in range(k):
+        body = (E(a), E(App(T[(i + 1) % k], a)))
+        entries.append(axiom(f"K{i}", HornFormula(body, E(App(T[i], a)))))
+    return AxiomEnv(entries), fact(E(App(T[0], Const("B"))))
+
+
+def test_prefix_trees_give_the_full_trees_report(monkeypatch):
+    rng = random.Random(31)
+    monkeypatch.setattr(corec, "TREE_NODES", 1500)
+    built = record_trees(monkeypatch)
+    kinds = Counter()
+    cases = [(*inner_loop_case(), ProofConfig(fuel=200))]
+    for _ in range(60):
+        cfg = ProofConfig(fuel=100, tree_depth=rng.randint(3, 50))
+        cases.append((*cycle_case(rng.randint(2, 45)), cfg))
+    for i in range(1500):
+        env = random_looping_env(rng, overlapping=i % 3 == 0)
+        goal = fact(random_loop_goal(rng, env))
+        cfg = ProofConfig(
+            fuel=rng.choice((30, 200)),
+            max_lemma_rounds=rng.randint(1, 3),
+            tree_depth=rng.randint(3, 30),
+        )
+        cases.append((env, goal, cfg))
+    for env, goal, cfg in cases:
+        built.clear()
+        got = auto(env, goal, cfg)
+        bounds = [n for n, _ in built]
+        want = full_tree_only(monkeypatch, lambda: auto(env, goal, cfg))
+        assert report_fields(got) == report_fields(want), (env, goal, cfg)
+        kinds["OverlapError"] += "clause heads match" in got.reason
+        escalated = (256, 1500) in zip(bounds, bounds[1:])
+        kinds["every prefix, then the full tree"] += escalated
+        # each round's trees end at the bound that settled it
+        for n, after in zip(bounds, bounds[1:] + [0]):
+            if after <= n:
+                kinds["full tree" if n == 1500 else f"prefix {n}"] += 1
+    assert min(kinds.values()) >= 10 and len(kinds) == 6, kinds
+
+
+def test_prefixes_add_little_to_a_tree_that_never_settles(monkeypatch):
+    env, goal = inner_loop_case()
+    built = record_trees(monkeypatch)
+    cfg = ProofConfig(fuel=200)
+    report = auto(env, goal, cfg)
+    assert report.outcome == PROVEN
+    assert [n for n, _ in built] == [*corec.TREE_PREFIXES, TREE_NODES]
+    full = built[-1][1]
+    assert full >= TREE_NODES
+    assert sum(nodes for _, nodes in built) <= 1.05 * full
+    assert report_fields(report) == report_fields(
+        full_tree_only(monkeypatch, lambda: auto(env, goal, cfg))
+    )
+
+
+def test_an_overlap_beyond_the_prefix_is_still_reported(monkeypatch):
+    # P Z loops at the root on the first prefix, but the full tree meets
+    # P (S^20 Z), which both heads match
+    P = lambda t: Atom("P", (t,))
+    deep = Z
+    for _ in range(20):
+        deep = App(S, deep)
+    env = AxiomEnv(
+        [
+            axiom("K0", HornFormula((Atom("Q", (x,)),), P(deep))),
+            axiom("K1", HornFormula((P(App(S, x)),), P(x))),
+        ]
+    )
+    built = record_trees(monkeypatch)
+    report = auto(env, fact(P(Z)), ProofConfig(fuel=200))
+    assert report.outcome == INCONCLUSIVE
+    assert report.reason.startswith("2 clause heads match P (S (S")
+    assert built == [] and env.heads_overlap()
+
+
+LOOPING_CORPUS = [
+    "bush.asl", "dz.asl", "evenodd.asl", "hptree.asl", "lam_auto.asl", "mutual_auto.asl"
+]
+
+
+@pytest.mark.parametrize("name", LOOPING_CORPUS)
+def test_corpus_loops_settle_on_a_small_prefix(monkeypatch, name):
+    built = record_trees(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["check", str(CORPUS / name)])
+    assert built and sum(nodes for _, nodes in built) < 64, built
+
+
+def test_explain_triples_come_from_the_full_tree(phi_hbush, monkeypatch):
+    built = record_trees(monkeypatch)
+    report = auto(phi_hbush, fact(eq(mk_app(Mu, Const("HBush"), Unit))))
+    analysis = report.analysis
+    assert [n for n, _ in built] == [corec.TREE_PREFIXES[0]]
+    prefix = analysis.closed.tree
+    full = build_tree(analysis.env, analysis.goal, analysis.depth, TREE_NODES)
+    assert analysis.triples == find_critical_triples(full)
+    # the full tree has inner triples the prefix does not reach
+    outside = [t for t in analysis.triples if t.lower not in prefix.clause_at]
+    assert any(t.upper != () for t in outside)
+    assert len(analysis.triples) > len(find_critical_triples(prefix))
 
 
 # ---------------------------------------------------------------------------

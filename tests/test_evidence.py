@@ -1,5 +1,9 @@
+import contextlib
+import io
+
 import pytest
 
+from cohorn import cli
 from cohorn.corec import prove_horn
 from cohorn.evidence import (
     check_obs_equiv,
@@ -32,7 +36,7 @@ from cohorn.syntax import (
     pair,
     subst_evidence,
 )
-from conftest import eq
+from conftest import best_time, eq
 
 Int, Mu, HPTree = Const("Int"), Const("Mu"), Const("HPTree")
 x = Var("x")
@@ -325,3 +329,23 @@ def test_loop_formula_proofs_are_observationally_equivalent(phi_hptree, phi_ab, 
         assert ok, why
         ok, _ = type_check(env, ev, HornFormula(loop.hypotheses, goal))
         assert ok
+
+
+def test_check_cost_is_near_linear_in_goal_depth(tmp_path):
+    # type_check asks free_vars of every goal on the chain's spine; each
+    # term caches its groundness, so that no longer walks the whole suffix
+    def check(n):
+        path = tmp_path / f"chain{n}.asl"
+        goal = "(S " * n + "Z" + ")" * n
+        clauses = "axiom Eq Z\naxiom Eq x => Eq (S x)"
+        path.write_text(f"module c where\n{clauses}\nauto Eq {goal}\n")
+
+        def run():
+            with contextlib.redirect_stdout(io.StringIO()):
+                return cli.main(["check", str(path)])
+
+        return run
+
+    small, large = check(300), check(3000)
+    assert large() == 0
+    assert best_time(large) < 20 * best_time(small)  # linear is about 10x

@@ -317,12 +317,14 @@ def reference_closed_subtree(tree):
             return NoClosedSubtree(
                 f"truncation frontier reached at {pos} before the subtree closed",
                 inconclusive=True,
+                root=root,
             )
         if st is NodeStatus.STUCK:
             return NoClosedSubtree(
                 f"branch ends irreducible at {tree.nodes[pos]} "
                 "without forming a critical triple",
                 inconclusive=False,
+                root=root,
             )
         stack.extend(reversed(tree.children(pos)))
     return ClosedSubtree(tree, root, _bfs_order(positions), _bfs_order(critical))

@@ -4,6 +4,7 @@ import random
 import sys
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -47,6 +48,7 @@ from cohorn.syntax import (
     mk_app,
     mk_eapp,
     pair,
+    unifiable,
 )
 from conftest import (
     best_time,
@@ -373,6 +375,37 @@ def test_clause_index_agrees_with_brute_force_scan():
             assert _reducible(env, goal) == bool(names)
     # the generator must exercise the matching side, not only misses
     assert hits > 1000
+
+
+def test_heads_overlap_is_the_pairwise_unification_scan():
+    rng = random.Random(808)
+    kinds = Counter()
+    for _ in range(600):
+        size = rng.randint(1, 5)
+        heads = [random_index_head(rng, ["x", "y", "f", "a"]) for _ in range(size)]
+        env = AxiomEnv(axiom(f"K{i}", fact(h)) for i, h in enumerate(heads[:2]))
+        for i, h in enumerate(heads[2:], start=2):  # a shared store
+            env = env.extended(axiom(f"K{i}", fact(h)))
+        expected = any(
+            unifiable(h, g) for i, h in enumerate(heads) for g in heads[:i]
+        )
+        assert env.heads_overlap() == expected
+        kinds[expected] += 1
+        if not expected:
+            # no goal matches two heads, so no tree can raise OverlapError
+            for _ in range(10):
+                _unique_clause(env, random_index_goal(rng, heads))
+    assert min(kinds.values()) >= 100, kinds
+
+
+def test_heads_overlap_is_kept_per_store_and_size():
+    env = AxiomEnv([axiom("K0", fact(Atom("P", (Const("A"),))))])
+    wider = env.extended(axiom("K1", fact(Atom("P", (Var("x"),)))))
+    assert not env.heads_overlap() and wider.heads_overlap()
+    assert env._store is wider._store
+    assert env._store.overlaps == {1: False, 2: True}
+    other = env.extended(axiom("K2", fact(Atom("P", (Const("B"),)))))  # a copy
+    assert other._store is not env._store and not other.heads_overlap()
 
 
 def test_branched_snapshots_are_isolated():

@@ -1,3 +1,4 @@
+import pickle
 import random
 from collections import Counter
 
@@ -27,9 +28,10 @@ from cohorn.syntax import (
     render_evidence,
     render_term,
     symbol_multiset,
+    unifiable,
     var_multiset,
 )
-from conftest import eq, random_atom, random_term
+from conftest import eq, random_atom, random_index_head, random_term
 
 Int = Const("Int")
 Mu = Const("Mu")
@@ -317,3 +319,108 @@ def test_term_hashes_are_the_field_tuple_hashes():
         shared = App(shared, shared)
     assert hash(shared) == hash((shared.fun, shared.arg))
     assert App(Const("F"), Var("x")) != Var("x") and Var("x") != App(Const("F"), Var("x"))
+
+
+# ---------------------------------------------------------------------------
+# the cached groundness flag
+
+
+def scanned_vars(t) -> list[str]:
+    """Variable names in first-occurrence order, visiting every node."""
+    out, stack = [], [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Var) and t.name not in out:
+            out.append(t.name)
+        elif isinstance(t, App):
+            stack += (t.arg, t.fun)
+    return out
+
+
+def test_groundness_flag_agrees_with_a_full_scan():
+    rng = random.Random(5)
+    kinds = Counter()
+    for _ in range(2000):
+        t = random_term(rng, rng.randint(1, 5), ["x", "y", "z"])
+        if not isinstance(t, App):
+            continue
+        # share subterms, so some flags are filled before their parents'
+        if rng.random() < 0.5:
+            t.fun.ground() if isinstance(t.fun, App) else None
+        assert t.ground() == (not scanned_vars(t))
+        assert free_vars(t) == scanned_vars(t)
+        assert free_vars(eq(t)) == scanned_vars(t)
+        kinds[t.ground()] += 1
+    assert min(kinds.values()) >= 200, kinds
+
+
+def test_groundness_of_deep_terms_needs_no_deep_recursion():
+    t = deep_term(100_000)
+    assert t.ground() and free_vars(eq(t)) == []
+    open_term = y
+    for _ in range(100_000):
+        open_term = App(Const("S"), open_term)
+    assert not open_term.ground() and free_vars(open_term) == ["y"]
+
+
+def test_pickled_terms_carry_no_groundness_flag():
+    term = mk_app(Const("F"), Var("x"), pair(Int, Int))
+    assert not term.ground() and term.arg.ground()
+    for obj in (term, term.arg):
+        assert "_ground" in vars(obj)
+        assert "_ground" not in obj.__reduce_ex__(2)[2]
+        copy = pickle.loads(pickle.dumps(obj))
+        assert copy == obj and "_ground" not in vars(copy)
+        assert copy.ground() == obj.ground()
+
+
+# ---------------------------------------------------------------------------
+# two-way unification of renamed-apart atoms
+
+
+def reference_unifiable(a: Atom, b: Atom) -> bool:
+    """Robinson's algorithm, applying each binding to the whole problem,
+    after renaming b's variables apart from a's."""
+    b = apply({v: Var(v + "'") for v in free_vars(b)}, b)
+    if a.pred != b.pred or len(a.args) != len(b.args):
+        return False
+    eqs = list(zip(a.args, b.args))
+    while eqs:
+        s, t = eqs.pop()
+        if s == t:
+            continue
+        if isinstance(t, Var) and not isinstance(s, Var):
+            s, t = t, s
+        if isinstance(s, Var):
+            if s.name in free_vars(t):
+                return False
+            eqs = [(apply({s.name: t}, l), apply({s.name: t}, r)) for l, r in eqs]
+        elif isinstance(s, App) and isinstance(t, App):
+            eqs += [(s.fun, t.fun), (s.arg, t.arg)]
+        else:
+            return False
+    return True
+
+
+def test_unifiable_agrees_with_robinsons_algorithm():
+    rng = random.Random(17)
+    kinds = Counter()
+    for _ in range(3000):
+        a = random_index_head(rng, ["x", "y", "f", "a"])
+        b = random_index_head(rng, ["x", "y", "f", "a"])
+        if rng.random() < 0.3:  # the same shape with other variables
+            b = apply({v: Var(rng.choice("xyfa")) for v in free_vars(a)}, a)
+        got = unifiable(a, b)
+        assert got == unifiable(b, a) == reference_unifiable(a, b), (a, b)
+        kinds[got] += 1
+    assert min(kinds.values()) >= 300, kinds
+
+
+def test_unifiable_keeps_the_two_sides_apart():
+    P = lambda *args: Atom("P", args)
+    F = Const("F")
+    assert unifiable(P(x, App(F, x)), P(App(F, x), x)) is False  # x = F (F x)
+    assert unifiable(P(x, x), P(App(F, y), y)) is False
+    assert unifiable(P(x, App(F, y)), P(y, x))  # the sides' x and y differ
+    assert unifiable(P(x, x), P(y, Int))
+    assert not unifiable(P(x), Atom("Q", (x,))) and not unifiable(P(x), P(x, x))
