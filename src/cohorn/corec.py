@@ -22,7 +22,6 @@ from .loopdetect import (
 )
 from .resolve import (
     AxiomEnv,
-    CorecPolicy,
     Entry,
     Fuel,
     FuelExhausted,
@@ -86,7 +85,7 @@ def prove_horn(
 
     The goal itself is assumed as coinductive hypothesis, its variables are
     instantiated with fresh proof-local constants, its body atoms become
-    hypotheses, and the head is resolved under the corecursive policy
+    hypotheses, and the head is resolved with them in scope
     (hypotheses first, the coinductive hypothesis only at guarded
     positions, then axioms and lemmas newest-first).  The result is
     mu-wrapped exactly when the coinductive hypothesis was used, in which
@@ -108,7 +107,7 @@ def prove_horn(
         binders.append(name)
         hyps.append(hypothesis(name, apply(gamma, b)))
         work = work.extended(hyps[-1])
-    ev = resolve(work, apply(gamma, goal.head), Fuel(cfg.fuel), CorecPolicy())
+    ev = resolve(work, apply(gamma, goal.head), Fuel(cfg.fuel))
     body = ev
     for b in reversed(binders):
         body = ELam(b, body)

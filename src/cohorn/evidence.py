@@ -15,13 +15,12 @@ from typing import Optional
 
 from .resolve import (
     AxiomEnv,
+    Cursor,
     Fuel,
     FuelExhausted,
     Path,
     StepMachine,
     iter_atoms,
-    replace_at,
-    subterm_at,
 )
 from .syntax import (
     Atom,
@@ -143,7 +142,39 @@ def type_check(
 
 
 # ---------------------------------------------------------------------------
-# Weak-head reduction
+# Evidence reduction over mixed terms
+
+
+class EvReducer(Cursor):
+    """Leftmost-outermost evidence reduction over a mixed term.  A redex is
+    a mu binder or a beta application; the walk enters applications only,
+    so it never descends under binders, and atoms are inert values."""
+
+    enters = EApp
+
+    def is_redex(self, node: Mixed) -> bool:
+        return isinstance(node, EMu) or (
+            isinstance(node, EApp) and isinstance(node.fun, ELam)
+        )
+
+    def contract(self):
+        """Contract the redex at the cursor, then back up to the top of its
+        spine: only the applications above it on the spine can have become
+        redexes."""
+        node = self._focus
+        if isinstance(node, EMu):
+            self._focus = subst_evidence(node.body, node.binder, node)
+        else:
+            self._focus = subst_evidence(node.fun.body, node.fun.binder, node.arg)
+        self.spine_top()
+
+    def spine_top(self) -> Mixed:
+        """Move the cursor up past trailing `fun` edges and return the
+        application there."""
+        above = self._above
+        while above and not above[-1][1]:
+            self._focus = EApp(self._focus, above.pop()[0].arg)
+        return self._focus
 
 
 def whnf(e: Evidence, fuel: int = 10_000) -> Evidence:
@@ -152,53 +183,21 @@ def whnf(e: Evidence, fuel: int = 10_000) -> Evidence:
     on every type-checked term; FuelExhausted signals ill-typed or
     unguarded input."""
     budget = Fuel(fuel)
-    while True:
-        head, args = spine_evidence(e)
-        if isinstance(head, EMu):
-            budget.spend()
-            e = mk_eapp(subst_evidence(head.body, head.binder, head), *args)
-        elif isinstance(head, ELam) and args:
-            budget.spend()
-            e = mk_eapp(subst_evidence(head.body, head.binder, args[0]), *args[1:])
-        else:
-            return e
-
-
-# ---------------------------------------------------------------------------
-# Small-step evidence reduction over mixed terms
-
-
-def _find_redex(state: Mixed) -> Optional[tuple[Path, Mixed]]:
-    """Leftmost outermost redex: a mu binder or a beta application not
-    contained in another redex.  Reduction never descends under binders;
-    atoms are inert values."""
-    stack: list[tuple[Mixed, Path]] = [(state, ())]
-    while stack:
-        node, path = stack.pop()
-        if isinstance(node, EMu):
-            return path, node
-        if isinstance(node, EApp):
-            if isinstance(node.fun, ELam):
-                return path, node
-            stack.append((node.arg, path + (1,)))
-            stack.append((node.fun, path + (0,)))
-    return None
-
-
-def _contract(node: Mixed) -> Mixed:
-    if isinstance(node, EMu):
-        return subst_evidence(node.body, node.binder, node)
-    return subst_evidence(node.fun.body, node.fun.binder, node.arg)
+    r = EvReducer(e)
+    while r.redex() is not None and not any(r.position()):
+        budget.spend()
+        r.contract()
+    return r.state()
 
 
 def ev_step(state: Mixed) -> Optional[Mixed]:
     """Contract the leftmost outermost mu- or beta-redex, or None when the
     term has no redex."""
-    found = _find_redex(state)
-    if found is None:
+    r = EvReducer(state)
+    if r.redex() is None:
         return None
-    path, node = found
-    return replace_at(state, path, _contract(node))
+    r.contract()
+    return r.state()
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +217,6 @@ class SimpleLoop:
     sigma: Subst
     hypotheses: tuple[Atom, ...]
     hypothesis_evidence_contexts: dict[Atom, Mixed]  # holes at the D spots
-
-
-def _reducible(env: AxiomEnv, atom: Atom) -> bool:
-    return StepMachine(env, MAtom(atom)).reducible == 1
 
 
 def _hyp_context(env: AxiomEnv, start: Atom, d: Atom, fuel: int) -> Optional[Mixed]:
@@ -339,32 +334,24 @@ def corecursive_points(
     records: list[ObservationRecord] = []
     if n <= 0:
         return records
-    state: Mixed = mk_eapp(e, *(MAtom(d) for d in hyps))
+    r = EvReducer(mk_eapp(e, *(MAtom(d) for d in hyps)))
     budget = Fuel(fuel)
     first = True
     while len(records) < n:
-        found = _find_redex(state)
-        if found is None:
+        node = r.redex()
+        if node is None:
             return records
-        path, node = found
         if isinstance(node, EMu) and not first:
-            # _find_redex only passes through applications, so the top of
-            # the mu's spine is the path without its trailing `fun` edges
-            top = path
-            while top and top[-1] == 0:
-                top = top[:-1]
-            _, args = spine_evidence(subterm_at(state, top))
+            _, args = spine_evidence(r.spine_top())
             records.append(
                 ObservationRecord(
-                    "corecursive",
-                    len(records) + 1,
-                    replace_at(state, top, Hole()),
-                    tuple(args),
+                    "corecursive", len(records) + 1, r.state(Hole()), tuple(args)
                 )
             )
+            r.redex()  # back down the spine to the mu
         first = False
         budget.spend()
-        state = replace_at(state, path, _contract(node))
+        r.contract()
     return records
 
 

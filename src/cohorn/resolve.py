@@ -128,9 +128,8 @@ class AxiomEnv:
     Axioms and lemmas live in a clause store indexed by predicate and by
     `index_key` of the head, the head symbol of its first argument; heads
     whose first argument is a variable or has a variable spine head (as in
-    `Eq (f (Mu f) a)`) go to a per-predicate wildcard bucket.  Clause
-    selection matches only the goal's bucket and the wildcard bucket, and
-    visits them in environment order.
+    `Eq (f (Mu f) a)`) go to a per-predicate wildcard bucket.  `matching`
+    matches only the goal's bucket and the wildcard bucket, newest first.
 
     Environments are not mutated in place.  The store is append-only and
     shared by an environment and everything extended from it; each
@@ -225,16 +224,20 @@ class AxiomEnv:
             )
         return store.overlaps[n]
 
-    def clauses_for(self, goal: Atom) -> list[Entry]:
-        """The axioms and lemmas whose head may match `goal`, oldest first:
-        a superset of those that do, so callers still `match` each."""
+    def matching(self, goal: Atom):
+        """Yield (entry, sigma) for each axiom and lemma whose head matches
+        `goal`, newest first."""
         store, n = self._store, self._size
         key = index_key(goal)
         found = store.bucket(goal.pred, None, n)
         if key is not None:
             keyed = store.bucket(goal.pred, key, n)
             found = sorted(found + keyed) if found else keyed
-        return [store.entries[p] for p in found]
+        for p in reversed(found):
+            e = store.entries[p]
+            s = match(e.formula.head, goal)
+            if s is not None:
+                yield e, s
 
     def __iter__(self):
         return iter(self.entries)
@@ -293,56 +296,32 @@ class Fuel:
 
 
 # ---------------------------------------------------------------------------
-# Clause selection policies
+# Clause selection
 
 
-class NewestFirst:
-    """Plain resolution order: lemmas shadow axioms, newest entry first.
-
-    A policy orders the environment entries tried against one subgoal:
-    `candidates` returns the list of (entry, substitution) pairs to try, in
-    order, and a flag that is set when a cohypothesis matched but was
-    withheld by the guardedness restriction."""
-
-    def candidates(self, env, goal, guard_depth):
-        out = []
-        for e in reversed(env.clauses_for(goal)):
+def candidates(env: AxiomEnv, goal: Atom, depth: int):
+    """The (entry, substitution) pairs tried against a subgoal at guard
+    depth `depth`, in order: hypotheses first (exact atom match), then the
+    coinductive hypothesis when the subgoal sits strictly beneath at least
+    one axiom or lemma application, then axioms and lemmas newest first.
+    Also a flag that is set when a cohypothesis matched but was withheld by
+    the guardedness restriction.  With no assumptions in scope this is
+    plain resolution's order."""
+    hyps = []
+    cohyps = []
+    blocked = False
+    for e in reversed(env.assumptions):
+        if e.kind is EntryKind.HYP:
+            if e.formula.head == goal:
+                hyps.append((e, {}))
+        else:
             s = match(e.formula.head, goal)
             if s is not None:
-                out.append((e, s))
-        return out, False
-
-
-class CorecPolicy:
-    """Order used while proving a Horn formula corecursively: hypotheses
-    first (exact atom match), then the coinductive hypothesis when the
-    subgoal sits strictly beneath at least one axiom or lemma application,
-    then axioms and lemmas newest-first."""
-
-    def candidates(self, env, goal, guard_depth):
-        hyps = []
-        cohyps = []
-        rest = []
-        blocked = False
-        for e in reversed(env.assumptions):
-            if e.kind is EntryKind.HYP:
-                if e.formula.head == goal:
-                    hyps.append((e, {}))
-            else:
-                s = match(e.formula.head, goal)
-                if s is not None:
-                    if guard_depth >= 1:
-                        cohyps.append((e, s))
-                    else:
-                        blocked = True
-        for e in reversed(env.clauses_for(goal)):
-            s = match(e.formula.head, goal)
-            if s is not None:
-                rest.append((e, s))
-        return hyps + cohyps + rest, blocked
-
-
-NEWEST_FIRST = NewestFirst()
+                if depth >= 1:
+                    cohyps.append((e, s))
+                else:
+                    blocked = True
+    return hyps + cohyps + list(env.matching(goal)), blocked
 
 
 # ---------------------------------------------------------------------------
@@ -352,16 +331,11 @@ NEWEST_FIRST = NewestFirst()
 FIRST_CYCLE_CHECK = 16
 
 
-def resolve(
-    env: AxiomEnv,
-    goal: Atom,
-    fuel: Fuel | int = 10_000,
-    policy: NewestFirst | CorecPolicy = NEWEST_FIRST,
-    guard_depth: int = 0,
-) -> Evidence:
-    """Prove an atomic goal by term-matching resolution.
+def resolve(env: AxiomEnv, goal: Atom, fuel: Fuel | int = 10_000) -> Evidence:
+    """Prove an atomic goal by term-matching resolution, corecursively when
+    `env` holds hypotheses or a coinductive hypothesis.
 
-    Clause choice follows `policy` with chronological backtracking, one
+    Clause choice follows `candidates` with chronological backtracking, one
     fuel unit per clause application.  Raises FuelExhausted when the budget
     runs out, Stuck when every alternative fails, and GuardViolation when
     failure is due only to the guardedness restriction.
@@ -376,8 +350,8 @@ def resolve(
 
     Cycle rule: FuelExhausted is also raised as soon as the current
     derivation path, the closers in `todo`, proves one atom twice at guard
-    depths that are equal or both >= 1, since the policies offer the same
-    candidates at such depths.  Subgoals share no variables, so the search
+    depths that are equal or both >= 1, since `candidates` offers the same
+    pairs at such depths.  Subgoals share no variables, so the search
     below the repeat replays the search below its first occurrence: it
     meets the atom again, and the continuation that rejected the first
     occurrence's solutions rejects the repeat's.  No answer or failure can
@@ -385,13 +359,11 @@ def resolve(
     anyway.  The path is checked when the count of clause applications
     reaches 16, 32, 64, ..., so the checks cost amortised O(1) per
     application; terms cache their hashes, so hashing a path costs only its
-    newly built terms.  The rule assumes a policy whose candidates depend
-    on the guard depth only through `depth >= 1`, as `NewestFirst` and
-    `CorecPolicy` do.
+    newly built terms.
     """
     if isinstance(fuel, int):
         fuel = Fuel(fuel)
-    todo = ((goal, guard_depth), None)
+    todo = ((goal, 0), None)
     done = None
     choices: list[tuple] = []
     stuck_at: Optional[Atom] = None
@@ -410,7 +382,7 @@ def resolve(
             done = (mk_eapp(ref, *reversed(args)), done)
             continue
         atom, depth = item
-        cands, blocked = policy.candidates(env, atom, depth)
+        cands, blocked = candidates(env, atom, depth)
         saw_blocked = saw_blocked or blocked
         i = 0
         if len(cands) > 1:
@@ -468,22 +440,6 @@ def _rebuild(node: Mixed, i: int, child: Mixed) -> Mixed:
     return EMu(node.binder, child)
 
 
-def subterm_at(state: Mixed, path: Path) -> Mixed:
-    for i in path:
-        state = _child(state, i)
-    return state
-
-
-def replace_at(state: Mixed, path: Path, new: Mixed) -> Mixed:
-    nodes = [state]
-    for i in path:
-        nodes.append(_child(nodes[-1], i))
-    out = new
-    for node, i in zip(reversed(nodes[:-1]), reversed(path)):
-        out = _rebuild(node, i, out)
-    return out
-
-
 def iter_atoms(state: Mixed):
     """Yield every atom leaf, leftmost-outermost first."""
     stack: list[Mixed] = [state]
@@ -497,47 +453,33 @@ def iter_atoms(state: Mixed):
             stack.append(node.body)
 
 
-class StepMachine:
-    """Small-step resolution from `state`: each step rewrites the leftmost
-    reducible atom through the newest matching clause.  The environment is
-    fixed, so nothing left of that atom ever changes again.  The machine
-    keeps a cursor that only moves right (a zipper: the focus and the nodes
-    above it, with the child index taken), the counts of steps and of
-    reducible atoms, and each atom's rewrite, memoised by identity (hashing
-    every new atom costs more than equal atoms save).  A step costs O(body
-    size) amortised; `state()` zips the cursor up in O(depth)."""
+class Cursor:
+    """A cursor into a mixed term that meets redexes left to right: a
+    zipper of the focus and the nodes above it, each with the child index
+    taken.  A subclass says which nodes are redexes (`is_redex`), which
+    nodes the walk enters (`enters`), and what a contraction does to the
+    focus.  `state()` zips the cursor up in O(depth)."""
 
-    def __init__(self, env: AxiomEnv, state: Mixed):
-        self.env = env
-        self.steps = 0
-        self._memo: dict = {}
+    enters: type | tuple[type, ...]
+
+    def __init__(self, state: Mixed):
         self._focus = state
         self._above: list[tuple[Mixed, int]] = []
-        self.reducible = sum(self._rewrite(a) is not None for a in iter_atoms(state))
 
-    def _rewrite(self, atom: Atom):
-        """(replacement, body atoms) by the newest matching clause, or None."""
-        entry = self._memo.get(id(atom))
-        if entry is None:
-            found = None
-            for e in reversed(self.env.clauses_for(atom)):
-                s = match(e.formula.head, atom)
-                if s is not None:
-                    body = tuple(apply(s, b) for b in e.formula.body)
-                    found = mk_eapp(e.ref(), *map(MAtom, body)), body
-                    break
-            entry = self._memo[id(atom)] = atom, found  # the atom pins its id
-        return entry[1]
+    def is_redex(self, node: Mixed) -> bool:
+        raise NotImplementedError
 
-    def redex(self) -> Optional[Atom]:
-        """Move the cursor to the leftmost reducible atom and return it, or
-        None at a normal form, leaving the cursor at the root."""
-        focus, above = self._focus, self._above
+    def redex(self) -> Optional[Mixed]:
+        """Move the cursor to the next redex, the focus included, and
+        return it, or None at a normal form, leaving the cursor at the
+        root."""
+        focus, above, enters = self._focus, self._above, self.enters
+        is_redex = self.is_redex
         while True:
-            if isinstance(focus, MAtom) and self._rewrite(focus.atom) is not None:
+            if is_redex(focus):
                 self._focus = focus
-                return focus.atom
-            if isinstance(focus, (EApp, ELam, EMu)):
+                return focus
+            if isinstance(focus, enters):
                 above.append((focus, 0))
                 focus = _child(focus, 0)
                 continue
@@ -552,16 +494,6 @@ class StepMachine:
             above.append((node, 1))
             focus = node.arg
 
-    def advance(self) -> bool:
-        """Rewrite the leftmost reducible atom; False at a normal form."""
-        atom = self.redex()
-        if atom is None:
-            return False
-        self._focus, body = self._rewrite(atom)
-        self.reducible += sum(self._rewrite(b) is not None for b in body) - 1
-        self.steps += 1
-        return True
-
     def position(self) -> Path:
         """The path from the root to the cursor."""
         return tuple(i for _, i in self._above)
@@ -572,6 +504,56 @@ class StepMachine:
         for node, i in reversed(self._above):
             out = _rebuild(node, i, out)
         return out
+
+
+class StepMachine(Cursor):
+    """Small-step resolution from `state`: each step rewrites the leftmost
+    reducible atom through the newest matching clause.  The environment is
+    fixed, so nothing left of that atom ever changes again, and the cursor
+    only moves right.  The machine keeps the counts of steps and of
+    reducible atoms, and each atom's rewrite, memoised by identity (hashing
+    every new atom costs more than equal atoms save).  A step costs O(body
+    size) amortised."""
+
+    enters = (EApp, ELam, EMu)
+
+    def __init__(self, env: AxiomEnv, state: Mixed):
+        super().__init__(state)
+        self.env = env
+        self.steps = 0
+        self._memo: dict = {}
+        self.reducible = sum(self._rewrite(a) is not None for a in iter_atoms(state))
+
+    def _rewrite(self, atom: Atom):
+        """(replacement, body atoms) by the newest matching clause, or None."""
+        entry = self._memo.get(id(atom))
+        if entry is None:
+            found = next(self.env.matching(atom), None)
+            if found is not None:
+                e, s = found
+                body = tuple(apply(s, b) for b in e.formula.body)
+                found = mk_eapp(e.ref(), *map(MAtom, body)), body
+            entry = self._memo[id(atom)] = atom, found  # the atom pins its id
+        return entry[1]
+
+    def is_redex(self, node: Mixed) -> bool:
+        return isinstance(node, MAtom) and self._rewrite(node.atom) is not None
+
+    def redex(self) -> Optional[Atom]:
+        """Move the cursor to the leftmost reducible atom and return it, or
+        None at a normal form, leaving the cursor at the root."""
+        node = super().redex()
+        return None if node is None else node.atom
+
+    def advance(self) -> bool:
+        """Rewrite the leftmost reducible atom; False at a normal form."""
+        atom = self.redex()
+        if atom is None:
+            return False
+        self._focus, body = self._rewrite(atom)
+        self.reducible += sum(self._rewrite(b) is not None for b in body) - 1
+        self.steps += 1
+        return True
 
 
 def step(env: AxiomEnv, state: Mixed) -> Optional[Mixed]:
@@ -656,13 +638,9 @@ class ResolutionTree:
 
 
 def _unique_clause(env: AxiomEnv, goal: Atom):
-    found = []
-    for e in env.clauses_for(goal):
-        s = match(e.formula.head, goal)
-        if s is not None:
-            found.append((e, s))
+    found = list(env.matching(goal))
     if len(found) > 1:
-        raise OverlapError(goal, [e.name for e, _ in found])
+        raise OverlapError(goal, [e.name for e, _ in reversed(found)])
     return found[0] if found else None
 
 

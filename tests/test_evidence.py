@@ -6,6 +6,7 @@ import pytest
 from cohorn import cli
 from cohorn.corec import prove_horn
 from cohorn.evidence import (
+    EvReducer,
     check_obs_equiv,
     corecursive_points,
     detect_simple_loop,
@@ -14,9 +15,8 @@ from cohorn.evidence import (
     observational_points,
     type_check,
     whnf,
-    _find_redex,
 )
-from cohorn.resolve import FuelExhausted, subterm_at
+from cohorn.resolve import FuelExhausted
 from cohorn.syntax import (
     App,
     Atom,
@@ -37,6 +37,7 @@ from cohorn.syntax import (
     subst_evidence,
 )
 from conftest import best_time, eq
+from test_machine import subterm_at
 
 Int, Mu, HPTree = Const("Int"), Const("Mu"), Const("HPTree")
 x = Var("x")
@@ -178,10 +179,10 @@ def test_ev_step_contracts_an_outermost_redex():
     # no enclosing node of the contracted redex is itself a redex
     state = EApp(hptree_evidence(), MAtom(eq(x)))
     for _ in range(30):
-        found = _find_redex(state)
-        if found is None:
+        r = EvReducer(state)
+        if r.redex() is None:
             break
-        path, _ = found
+        path = r.position()
         for cut in range(len(path)):
             node = subterm_at(state, path[:cut])
             assert not isinstance(node, EMu)

@@ -1,5 +1,6 @@
-"""The incremental small-step machine against the whole-state rescans it
-replaced, kept here as reference versions, plus its cost bounds."""
+"""The incremental small-step machine and the evidence reducer against the
+whole-state rescans they replaced, kept here as reference versions, plus
+their cost bounds."""
 
 import contextlib
 import io
@@ -19,22 +20,27 @@ from conftest import (
     random_terminating_case,
 )
 from cohorn import cli
+from cohorn.corec import ProofConfig, prove_horn
 from cohorn.evidence import (
     ObservationRecord,
     SimpleLoop,
     _hyp_context,
+    corecursive_points,
     detect_simple_loop,
+    ev_step,
     observational_points,
+    whnf,
 )
 from cohorn.parser import parse_atom
 from cohorn.resolve import (
-    NEWEST_FIRST,
     AxiomEnv,
+    Fuel,
     FuelExhausted,
+    GuardViolation,
     StepMachine,
+    Stuck,
     axiom,
     count_steps,
-    replace_at,
     small_steps,
     step,
     trace,
@@ -58,6 +64,8 @@ from cohorn.syntax import (
     mk_app,
     mk_eapp,
     pair,
+    spine_evidence,
+    subst_evidence,
 )
 
 from test_contract import GROUND_GOALS
@@ -80,9 +88,20 @@ def ref_atoms(state):
             stack.append((node.body, path + (0,)))
 
 
+def ref_newest_first(env, atom):
+    """Every (entry, sigma) whose head matches `atom`, newest first, by a
+    scan of all clauses."""
+    out = []
+    for e in reversed(env.clauses()):
+        s = match(e.formula.head, atom)
+        if s is not None:
+            out.append((e, s))
+    return out
+
+
 def ref_step(env, state):
     for path, atom in ref_atoms(state):
-        cands, _ = NEWEST_FIRST.candidates(env, atom, 1)
+        cands = ref_newest_first(env, atom)
         if not cands:
             continue
         entry, sigma = cands[0]
@@ -100,7 +119,7 @@ def ref_steps(env, state):
 
 
 def ref_reducible(env, atom):
-    return any(match(e.formula.head, atom) is not None for e in env.clauses_for(atom))
+    return bool(ref_newest_first(env, atom))
 
 
 def ref_hyp_context(env, start, d, fuel):
@@ -159,6 +178,130 @@ def ref_observational_points(loop, n, fuel):
     if stepped < fuel:
         return records
     raise FuelExhausted()
+
+
+# Evidence reduction as it was before it drove the shared cursor: each step
+# finds the redex by a path-building walk and rebuilds the state along the
+# path.  Kept verbatim, with the public functions renamed `ref_*`.
+
+Path = tuple[int, ...]
+
+
+def _child(node, i: int):
+    if isinstance(node, EApp):
+        return node.fun if i == 0 else node.arg
+    return node.body  # ELam / EMu
+
+
+def _rebuild(node, i: int, child):
+    if isinstance(node, EApp):
+        return EApp(child, node.arg) if i == 0 else EApp(node.fun, child)
+    if isinstance(node, ELam):
+        return ELam(node.binder, child)
+    return EMu(node.binder, child)
+
+
+def subterm_at(state, path: Path):
+    for i in path:
+        state = _child(state, i)
+    return state
+
+
+def replace_at(state, path: Path, new):
+    nodes = [state]
+    for i in path:
+        nodes.append(_child(nodes[-1], i))
+    out = new
+    for node, i in zip(reversed(nodes[:-1]), reversed(path)):
+        out = _rebuild(node, i, out)
+    return out
+
+
+def ref_whnf(e, fuel: int = 10_000):
+    """Reduce mu-unfoldings and betas at the weak head position only, until
+    the term is `kappa es`, `alpha es` or a lambda.  Terminates within fuel
+    on every type-checked term; FuelExhausted signals ill-typed or
+    unguarded input."""
+    budget = Fuel(fuel)
+    while True:
+        head, args = spine_evidence(e)
+        if isinstance(head, EMu):
+            budget.spend()
+            e = mk_eapp(subst_evidence(head.body, head.binder, head), *args)
+        elif isinstance(head, ELam) and args:
+            budget.spend()
+            e = mk_eapp(subst_evidence(head.body, head.binder, args[0]), *args[1:])
+        else:
+            return e
+
+
+def _find_redex(state):
+    """Leftmost outermost redex: a mu binder or a beta application not
+    contained in another redex.  Reduction never descends under binders;
+    atoms are inert values."""
+    stack = [(state, ())]
+    while stack:
+        node, path = stack.pop()
+        if isinstance(node, EMu):
+            return path, node
+        if isinstance(node, EApp):
+            if isinstance(node.fun, ELam):
+                return path, node
+            stack.append((node.arg, path + (1,)))
+            stack.append((node.fun, path + (0,)))
+    return None
+
+
+def _contract(node):
+    if isinstance(node, EMu):
+        return subst_evidence(node.body, node.binder, node)
+    return subst_evidence(node.fun.body, node.fun.binder, node.arg)
+
+
+def ref_ev_step(state):
+    """Contract the leftmost outermost mu- or beta-redex, or None when the
+    term has no redex."""
+    found = _find_redex(state)
+    if found is None:
+        return None
+    path, node = found
+    return replace_at(state, path, _contract(node))
+
+
+def ref_corecursive_points(e, hyps, n: int, fuel: int = 10_000):
+    """Reduce e applied to the hypothesis atoms (inert arguments) and
+    record, for m = 1..n, each state after the first whose next contraction
+    unfolds the fixed point; the hole covers the whole mu application."""
+    records = []
+    if n <= 0:
+        return records
+    state = mk_eapp(e, *(MAtom(d) for d in hyps))
+    budget = Fuel(fuel)
+    first = True
+    while len(records) < n:
+        found = _find_redex(state)
+        if found is None:
+            return records
+        path, node = found
+        if isinstance(node, EMu) and not first:
+            # _find_redex only passes through applications, so the top of
+            # the mu's spine is the path without its trailing `fun` edges
+            top = path
+            while top and top[-1] == 0:
+                top = top[:-1]
+            _, args = spine_evidence(subterm_at(state, top))
+            records.append(
+                ObservationRecord(
+                    "corecursive",
+                    len(records) + 1,
+                    replace_at(state, top, Hole()),
+                    tuple(args),
+                )
+            )
+        first = False
+        budget.spend()
+        state = replace_at(state, path, _contract(node))
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +473,9 @@ def loop_cases(ground=60, open_=40):
     return out
 
 
-def points(fn, loop, n, fuel):
+def raised(fn, *args):
     try:
-        return fn(loop, n, fuel)
+        return fn(*args)
     except FuelExhausted:
         return "FuelExhausted"
 
@@ -347,7 +490,7 @@ def test_loop_detection_and_points_match_the_reference(fuel, generated):
             continue
         found += 1
         for n in (1, 3):
-            assert points(observational_points, loop, n, fuel) == points(
+            assert raised(observational_points, loop, n, fuel) == raised(
                 ref_observational_points, loop, n, fuel
             )
     assert found >= 3
@@ -367,6 +510,41 @@ def test_hypothesis_contexts_match_the_reference():
                     assert got == ref_hyp_context(env, start, d, fuel)
                     found += got is not None
     assert found > 20
+
+
+def test_evidence_reduction_matches_the_reference():
+    # the proof of each detected simple loop's formula, applied to the loop
+    # hypotheses, reduced by the shared cursor and by the reference; the
+    # generated programs alternate between the two overlap settings
+    proved = overlapping = recorded = exhausted = 0
+    for env, goal in loop_cases(200, 200)[len(GROUND_GOALS) :]:
+        loop = detect_simple_loop(env, goal, 150)
+        if loop is None:
+            continue
+        formula = HornFormula(loop.hypotheses, goal)
+        try:
+            ev = prove_horn(env, formula, ProofConfig(fuel=1000))
+        except (FuelExhausted, GuardViolation, Stuck):
+            continue
+        proved += 1
+        overlapping += env.heads_overlap()
+        hyps = loop.hypotheses
+        for n in (1, 2, 3):
+            for fuel in (1, 2, 5, 10_000):
+                got = raised(corecursive_points, ev, hyps, n, fuel)
+                assert got == raised(ref_corecursive_points, ev, hyps, n, fuel)
+                exhausted += got == "FuelExhausted"
+                recorded += got != "FuelExhausted" and len(got) == n
+        state = mk_eapp(ev, *(MAtom(d) for d in hyps))
+        assert raised(whnf, state, 200) == raised(ref_whnf, state, 200)
+        new = ref = state
+        for _ in range(50):
+            new, ref = ev_step(new), ref_ev_step(ref)
+            assert new == ref
+            if new is None:
+                break
+    assert proved >= 50 and overlapping >= 10, (proved, overlapping)
+    assert recorded >= 200 and exhausted >= 200, (recorded, exhausted)
 
 
 # ---------------------------------------------------------------------------

@@ -10,23 +10,24 @@ from typing import Optional
 
 import pytest
 
-from cohorn.evidence import _reducible, type_check
+from cohorn.evidence import type_check
 from cohorn.resolve import (
-    NEWEST_FIRST,
     AxiomEnv,
-    CorecPolicy,
     EntryKind,
     Fuel,
     FuelExhausted,
     GuardViolation,
     NodeStatus,
     OverlapError,
+    StepMachine,
     Stuck,
     _unique_clause,
     axiom,
     build_tree,
+    candidates,
     cohypothesis,
     hypothesis,
+    index_key,
     lemma,
     resolve,
     small_steps,
@@ -283,6 +284,73 @@ def test_resolve_is_deterministic(phi_hbush):
 CLAUSE_KINDS = (EntryKind.AXIOM, EntryKind.LEMMA)
 
 
+# The two clause-selection policies that `candidates` replaced, kept as the
+# reference clause order of `reference_resolve` and `snapshot_resolve`.
+# They are verbatim but for `env.clauses_for(goal)`, now the function below,
+# the removed `AxiomEnv.clauses_for` with `self` renamed `env`.
+
+
+def clauses_for(env, goal):
+    """The axioms and lemmas whose head may match `goal`, oldest first:
+    a superset of those that do, so callers still `match` each."""
+    store, n = env._store, env._size
+    key = index_key(goal)
+    found = store.bucket(goal.pred, None, n)
+    if key is not None:
+        keyed = store.bucket(goal.pred, key, n)
+        found = sorted(found + keyed) if found else keyed
+    return [store.entries[p] for p in found]
+
+
+class NewestFirst:
+    """Plain resolution order: lemmas shadow axioms, newest entry first.
+
+    A policy orders the environment entries tried against one subgoal:
+    `candidates` returns the list of (entry, substitution) pairs to try, in
+    order, and a flag that is set when a cohypothesis matched but was
+    withheld by the guardedness restriction."""
+
+    def candidates(self, env, goal, guard_depth):
+        out = []
+        for e in reversed(clauses_for(env, goal)):
+            s = match(e.formula.head, goal)
+            if s is not None:
+                out.append((e, s))
+        return out, False
+
+
+class CorecPolicy:
+    """Order used while proving a Horn formula corecursively: hypotheses
+    first (exact atom match), then the coinductive hypothesis when the
+    subgoal sits strictly beneath at least one axiom or lemma application,
+    then axioms and lemmas newest-first."""
+
+    def candidates(self, env, goal, guard_depth):
+        hyps = []
+        cohyps = []
+        rest = []
+        blocked = False
+        for e in reversed(env.assumptions):
+            if e.kind is EntryKind.HYP:
+                if e.formula.head == goal:
+                    hyps.append((e, {}))
+            else:
+                s = match(e.formula.head, goal)
+                if s is not None:
+                    if guard_depth >= 1:
+                        cohyps.append((e, s))
+                    else:
+                        blocked = True
+        for e in reversed(clauses_for(env, goal)):
+            s = match(e.formula.head, goal)
+            if s is not None:
+                rest.append((e, s))
+        return hyps + cohyps + rest, blocked
+
+
+NEWEST_FIRST = NewestFirst()
+
+
 def brute_newest_first(env, goal):
     out = []
     for e in reversed(env.entries):
@@ -357,11 +425,12 @@ def test_clause_index_agrees_with_brute_force_scan():
         for goal in goals:
             expected = brute_newest_first(env, goal)
             hits += bool(expected)
+            assert list(env.matching(goal)) == expected
             assert NEWEST_FIRST.candidates(env, goal, 0) == (expected, False)
             for depth in (0, 1):
-                assert policy.candidates(env, goal, depth) == brute_corec(
-                    env, goal, depth
-                )
+                got = candidates(env, goal, depth)
+                assert got == policy.candidates(env, goal, depth)
+                assert got == brute_corec(env, goal, depth)
             names = brute_unique_names(env, goal)
             if len(names) > 1:
                 with pytest.raises(OverlapError) as exc:
@@ -372,7 +441,7 @@ def test_clause_index_agrees_with_brute_force_scan():
                 assert (found[0].name if found else None) == (
                     names[0] if names else None
                 )
-            assert _reducible(env, goal) == bool(names)
+            assert (StepMachine(env, MAtom(goal)).reducible == 1) == bool(names)
     # the generator must exercise the matching side, not only misses
     assert hits > 1000
 
@@ -416,9 +485,9 @@ def test_branched_snapshots_are_isolated():
     e1 = base.extended(a)
     e2 = base.extended(b)
     goal = eq(App(Const("List"), Int))
-    assert [e.name for e, _ in NEWEST_FIRST.candidates(e1, goal, 0)[0]] == ["KA"]
-    assert [e.name for e, _ in NEWEST_FIRST.candidates(e2, goal, 0)[0]] == ["KB"]
-    assert NEWEST_FIRST.candidates(base, goal, 0) == ([], False)
+    assert [e.name for e, _ in e1.matching(goal)] == ["KA"]
+    assert [e.name for e, _ in e2.matching(goal)] == ["KB"]
+    assert list(base.matching(goal)) == []
     assert e1.lookup("KB") is None and e2.lookup("KA") is None
     assert base.lookup("KA") is None and base.lookup("KB") is None
     assert e1.entries == (base.entries[0], a)
@@ -451,7 +520,7 @@ def test_snapshots_read_safely_while_the_store_grows():
     x = Var("x")
     base = AxiomEnv([axiom("K0", fact(eq(App(Const("List"), x))))])
     goal = eq(App(Const("List"), Int))
-    expected = NEWEST_FIRST.candidates(base, goal, 0)
+    expected = list(base.matching(goal))
     stop = threading.Event()
     errors = []
 
@@ -464,7 +533,7 @@ def test_snapshots_read_safely_while_the_store_grows():
 
     def read():
         while not stop.is_set():
-            if NEWEST_FIRST.candidates(base, goal, 0) != expected:
+            if list(base.matching(goal)) != expected:
                 errors.append("reader saw a clause beyond its snapshot")
                 stop.set()
 
@@ -583,19 +652,19 @@ def test_cycle_rule_tells_an_unguarded_atom_from_its_guarded_repeat():
     p = lambda t: Atom("P", (t,))
     q = lambda t: Atom("Q", (t,))
     z = lambda t: Atom("Z", (t,))
-    env = AxiomEnv(
+    plain = AxiomEnv(
         [
             axiom("KP", HornFormula((q(x),), p(x))),
             axiom("KQ", HornFormula((p(x),), q(x))),
             axiom("KS", HornFormula((z(x),), z(App(Const("S"), x)))),
             axiom("KO", fact(z(Const("O")))),
-            cohypothesis("r", HornFormula((z(x),), p(x))),
         ]
     )
-    ev = resolve(env, p(n), 100, CorecPolicy())
+    env = plain.extended(cohypothesis("r", HornFormula((z(x),), p(x))))
+    ev = resolve(env, p(n), 100)
     assert ev == reference_resolve(env, p(n), Fuel(100), CorecPolicy())
     with pytest.raises(FuelExhausted):  # without the cohypothesis: a cycle
-        resolve(env, p(n), 100)
+        resolve(plain, p(n), 100)
 
 
 def test_cycle_rule_agrees_with_the_full_fuel_burn():
@@ -613,7 +682,7 @@ def test_cycle_rule_agrees_with_the_full_fuel_burn():
                     expected = outcome(
                         lambda: reference_resolve(e, goal, ref_fuel, policy)
                     )
-                    got = outcome(lambda: resolve(e, goal, new_fuel, policy))
+                    got = outcome(lambda: resolve(e, goal, new_fuel))
                     assert got == expected, (e, goal, policy, budget)
                     seen[got[0]] += 1
                     cut_short += new_fuel.remaining > max(ref_fuel.remaining, 0)
@@ -759,7 +828,7 @@ def test_resolve_agrees_with_the_snapshotting_resolve():
                     expected = outcome(
                         lambda: snapshot_resolve(e, goal, old_fuel, policy)
                     )
-                    got = outcome(lambda: resolve(e, goal, new_fuel, policy))
+                    got = outcome(lambda: resolve(e, goal, new_fuel))
                     assert (got, new_fuel.remaining) == (
                         expected,
                         old_fuel.remaining,
@@ -813,9 +882,9 @@ def test_resolve_evidence_type_checks_where_it_was_found():
         work = corec_setting(rng, env)
         for _ in range(4):
             goal = random_loop_goal(rng, env)
-            for e, policy in ((env, NEWEST_FIRST), (work, CorecPolicy())):
+            for e in (env, work):
                 try:
-                    ev = resolve(e, goal, 400, policy)
+                    ev = resolve(e, goal, 400)
                 except (FuelExhausted, Stuck, GuardViolation):
                     continue
                 assert type_check(e, ev, fact(goal)) == (True, []), (e, goal, ev)
