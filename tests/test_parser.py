@@ -104,6 +104,64 @@ def test_parse_atom_helper():
 
 
 # ---------------------------------------------------------------------------
+# pinned errors: message, line and column of each malformed input
+
+# (entry point, input, error class, message, line, column or None)
+ERROR_TABLE = [
+    ('module', 'module m where\n_x', "ParseError", "unexpected character '_'", 2, 1),
+    ('module', 'module m where\naxiom Eq 1', "ParseError", "unexpected character '1'", 2, 10),
+    ('module', "module m where\naxiom Eq 'a", "ParseError", 'unexpected character "\'"', 2, 10),
+    ('module', 'module m where\naxiom Eq ²', "ParseError", "unexpected character '²'", 2, 10),
+    ('module', '\ufeffmodule m where\n', "ParseError", "unexpected character '\\ufeff'", 1, 1),
+    ('module', 'module m where\n\x0caxiom Eq Unit', "ParseError", "unexpected character '\\x0c'", 2, 1),
+    ('module', 'module m where\naxiom Eq a - Eq b', "ParseError", "unexpected character '-'", 2, 12),
+    ('module', 'module m where\naxiom Eq a = Eq b', "ParseError", "unexpected character '='", 2, 12),
+    ('module', 'module m where\nauto Eq (List a\n', "ParseError", "expected ')', got 'end of input'", 3, 1),
+    ('module', 'module m where\nauto Eq (a, b, c)', "ParseError", "expected ')', got ','", 2, 14),
+    ('module', 'module m where\nauto Eq (a,)', "ParseError", "expected '(', got ')'", 2, 12),
+    ('module', 'module m where\nauto Eq ()', "ParseError", "expected '(', got ')'", 2, 10),
+    ('module', 'module m where\nauto Eq (a --)', "ParseError", "expected ')', got 'end of input'", 2, 12),
+    ('module', '--)', "ParseError", "expected 'module', got 'end of input'", 1, 1),
+    ('module', 'module m where\nauto Eq (a -- b)\n', "ParseError", "expected ')', got 'end of input'", 3, 1),
+    ('module', 'module where where\n', "ParseError", "expected an identifier, got 'where'", 1, 8),
+    ('module', 'module m where\naxiom lemma\n', "ParseError", "expected a predicate (uppercase identifier), got 'lemma'", 2, 7),
+    ('module', 'module m where\naxiom Eq a => auto\n', "ParseError", "expected a predicate (uppercase identifier), got 'auto'", 2, 15),
+    ('module', '', "ParseError", "expected 'module', got 'end of input'", 1, 1),
+    ('module', 'module m', "ParseError", "expected 'where', got 'end of input'", 1, 9),
+    ('module', 'module m where\nfoo', "ParseError", "expected 'axiom', 'lemma' or 'auto', got 'foo'", 2, 1),
+    ('module', 'module m where\naxiom eq a', "ParseError", "expected a predicate (uppercase identifier), got 'eq'", 2, 7),
+    ('module', 'module m where\naxiom (Eq a => Eq b', "ParseError", "expected ')', got '=>'", 2, 13),
+    ('module', 'module m where\naxiom (Eq a) Eq b', "ParseError", "expected '=>', got 'Eq'", 2, 14),
+    ('module', 'module m where\nauto Eq a =>', "ParseError", "expected a predicate (uppercase identifier), got 'end of input'", 2, 13),
+    ('module', 'module m where\naxiom Eq y => Eq (List x)\n', "ScopeError", "variable 'y' occurs in the body but not in the head of (Eq y) => Eq (List x)", 2, None),
+    ('module', 'module m where\r\nauto Eq\r 1\r\n', "ParseError", "unexpected character '1'", 2, 10),
+    ('module', 'module m where\r\naxiom Eq a\r\n  => 1', "ParseError", "unexpected character '1'", 3, 6),
+    ('module', 'module m where\r\nauto Eq (a\r\n', "ParseError", "expected ')', got 'end of input'", 3, 1),
+    ('module', 'module m where\r\n\r\naxiom Eq a =>\r\n  Eq\r\n', "ScopeError", "variable 'a' occurs in the body but not in the head of (Eq a) => Eq", 3, None),
+    ('atom', 'Eq a )', "ParseError", "trailing input after atom, got ')'", 1, 6),
+    ('atom', 'Eq a b, c', "ParseError", "trailing input after atom, got ','", 1, 7),
+    ('atom', 'Eq lemma', "ParseError", "trailing input after atom, got 'lemma'", 1, 4),
+    ('atom', 'eq a', "ParseError", "expected a predicate (uppercase identifier), got 'eq'", 1, 1),
+    ('atom', '', "ParseError", "expected a predicate (uppercase identifier), got 'end of input'", 1, 1),
+    ('atom', 'Eq (a', "ParseError", "expected ')', got 'end of input'", 1, 6),
+]
+
+
+@pytest.mark.parametrize("entry, text, error, message, line, col", ERROR_TABLE)
+def test_pinned_error(entry, text, error, message, line, col):
+    parse = parse_module if entry == "module" else parse_atom
+    with pytest.raises((ParseError, ScopeError)) as exc:
+        parse(text)
+    ex = exc.value
+    assert type(ex).__name__ == error
+    assert (str(ex), ex.line, getattr(ex, "col", None)) == (
+        f"{line}:{col}: {message}" if col else f"{line}: {message}",
+        line,
+        col,
+    )
+
+
+# ---------------------------------------------------------------------------
 # rendering
 
 
