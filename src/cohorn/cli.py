@@ -423,6 +423,8 @@ def _load(path: str) -> SourceModule:
             text = f.read()
     except OSError as ex:
         raise _LoadError(f"error: {ex}\n") from None
+    except UnicodeDecodeError as ex:
+        raise _LoadError(f"error: {path}: {ex}\n") from None
     try:
         return parse_module(text)
     except (ParseError, ScopeError) as ex:

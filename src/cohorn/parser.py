@@ -15,10 +15,17 @@ Grammar::
 
 `(t1, t2)` is sugar for `Pair t1 t2`.  A lone atom parses as the bodiless
 clause `=> A`.
+
+An identifier starts with a letter (`str.isalpha`) and goes on with
+letters, digits (`str.isalnum`), `_` and `'`.  The keywords `module`,
+`where`, `axiom`, `lemma` and `auto` are reserved: none of them is an
+identifier anywhere, so `Eq (lemma)` is an error.  Blanks are space, tab,
+CR and LF.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .syntax import (
@@ -67,62 +74,46 @@ class SourceModule:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Lexer: tokens are (kind, text, line, col) tuples, kind one of "ident",
+# "keyword", "punct" and "eof"
+
+_LEXEME = re.compile(
+    r"(?P<nl>\n)|[ \t\r]+|--[^\n]*"  # blanks and comments have no group
+    r"|(?P<punct>=>|[(),])|(?P<ident>\w[\w']*)|(?P<bad>.)"
+)
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident" | "punct" | "eof"
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[Token]:
-    toks: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
+def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    toks = []
+    line, start = 1, 0  # the current line and the offset of its first character
+    for m in _LEXEME.finditer(text):
+        kind = m.lastgroup
+        if kind is None:  # blanks or a comment
+            continue
+        if kind == "nl":
             line += 1
-            col = 1
-            i += 1
+            start = m.end()
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "-" and text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c in "(),":
-            toks.append(Token("punct", c, line, col))
-            i += 1
-            col += 1
-            continue
-        if text.startswith("=>", i):
-            toks.append(Token("punct", "=>", line, col))
-            i += 2
-            col += 2
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            toks.append(Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+        word = m.group()
+        col = m.start() - start + 1
+        if kind == "ident":
+            # `\w` also matches digits and "_", which cannot start a name
+            if not word[0].isalpha():
+                raise ParseError(f"unexpected character {word[0]!r}", line, col)
+            if word in KEYWORDS:
+                kind = "keyword"
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {word!r}", line, col)
+        toks.append((kind, word, line, col))
+    # end of input sits after the last line's text, less a trailing comment
+    last = text[start:]
+    cut = last.find("--")
+    toks.append(("eof", "", line, (len(last) if cut < 0 else cut) + 1))
     return toks
 
 
 # ---------------------------------------------------------------------------
-# Recursive descent
+# Parser: recursive descent for the flat rules, a loop for nested terms
 
 
 class _Parser:
@@ -130,115 +121,105 @@ class _Parser:
         self.toks = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> Token:
+    def peek(self) -> tuple[str, str, int, int]:
         return self.toks[self.pos]
 
-    def next(self) -> Token:
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
     def fail(self, msg: str):
-        t = self.peek()
-        got = t.text if t.kind != "eof" else "end of input"
-        raise ParseError(f"{msg}, got {got!r}", t.line, t.col)
+        kind, text, line, col = self.peek()
+        got = text if kind != "eof" else "end of input"
+        raise ParseError(f"{msg}, got {got!r}", line, col)
 
-    def expect_punct(self, text: str) -> Token:
+    def expect(self, kind: str, text: str):
         t = self.peek()
-        if t.kind != "punct" or t.text != text:
+        if t[0] != kind or t[1] != text:
             self.fail(f"expected {text!r}")
-        return self.next()
-
-    def expect_keyword(self, word: str) -> Token:
-        t = self.peek()
-        if t.kind != "ident" or t.text != word:
-            self.fail(f"expected {word!r}")
-        return self.next()
-
-    def expect_ident(self) -> Token:
-        t = self.peek()
-        if t.kind != "ident" or t.text in KEYWORDS:
-            self.fail("expected an identifier")
-        return self.next()
+        self.pos += 1
 
     # grammar rules -------------------------------------------------------
 
     def module(self) -> SourceModule:
-        self.expect_keyword("module")
-        name = self.expect_ident().text
-        self.expect_keyword("where")
+        self.expect("keyword", "module")
+        if self.peek()[0] != "ident":
+            self.fail("expected an identifier")
+        name = self.peek()[1]
+        self.pos += 1
+        self.expect("keyword", "where")
         decls = []
-        while self.peek().kind != "eof":
+        while self.peek()[0] != "eof":
             decls.append(self.decl())
         return SourceModule(name, tuple(decls))
 
     def decl(self) -> Decl:
-        t = self.peek()
-        if t.kind != "ident" or t.text not in ("axiom", "lemma", "auto"):
+        kind, text, line, _ = self.peek()
+        if kind != "keyword" or text not in ("axiom", "lemma", "auto"):
             self.fail("expected 'axiom', 'lemma' or 'auto'")
-        self.next()
+        self.pos += 1
         formula = self.horn()
-        _check_scope(formula, t.line)
-        return Decl(t.text, formula, t.line)
+        _check_scope(formula, line)
+        return Decl(text, formula, line)
 
     def horn(self) -> HornFormula:
         body: tuple[Atom, ...] = ()
-        t = self.peek()
-        if t.kind == "punct" and t.text == "(":
+        if self.peek()[1] == "(":
             # atoms never start with '(' so this must be a context list
-            self.next()
+            self.pos += 1
             atoms = [self.atom()]
-            while self.peek().text == ",":
-                self.next()
+            while self.peek()[1] == ",":
+                self.pos += 1
                 atoms.append(self.atom())
-            self.expect_punct(")")
-            self.expect_punct("=>")
+            self.expect("punct", ")")
+            self.expect("punct", "=>")
             body = tuple(atoms)
         else:
             first = self.atom()
-            if self.peek().text == "=>":
-                self.next()
-                body = (first,)
-            else:
+            if self.peek()[1] != "=>":
                 return HornFormula((), first)
+            self.pos += 1
+            body = (first,)
         return HornFormula(body, self.atom())
 
     def atom(self) -> Atom:
-        t = self.peek()
-        if t.kind != "ident" or t.text in KEYWORDS or not t.text[0].isupper():
+        kind, text, _, _ = self.peek()
+        if kind != "ident" or not text[0].isupper():
             self.fail("expected a predicate (uppercase identifier)")
-        pred = self.next().text
+        self.pos += 1
         args = []
-        while self._at_aterm():
+        while self.peek()[0] == "ident" or self.peek()[1] == "(":
             args.append(self.aterm())
-        return Atom(pred, tuple(args))
-
-    def _at_aterm(self) -> bool:
-        t = self.peek()
-        if t.kind == "ident" and t.text not in KEYWORDS:
-            return True
-        return t.kind == "punct" and t.text == "("
+        return Atom(text, tuple(args))
 
     def aterm(self) -> Term:
-        t = self.peek()
-        if t.kind == "ident":
-            self.next()
-            return Const(t.text) if t.text[0].isupper() else Var(t.text)
-        self.expect_punct("(")
-        first = self.term()
-        if self.peek().text == ",":
-            self.next()
-            second = self.term()
-            self.expect_punct(")")
-            return pair(first, second)
-        self.expect_punct(")")
-        return first
-
-    def term(self) -> Term:
-        t = self.aterm()
-        while self._at_aterm():
-            t = App(t, self.aterm())
-        return t
+        """An identifier, `(term)` or `(term, term)`, where a term is one or
+        more aterms applied left to right.  Each open parenthesis is one
+        stack entry: the application read so far inside it, and the first
+        component once a comma has been read."""
+        toks = self.toks
+        stack: list[tuple[Term | None, Term | None]] = []
+        while True:
+            kind, text, _, _ = toks[self.pos]
+            if kind != "ident":
+                self.expect("punct", "(")
+                stack.append((None, None))
+                continue
+            self.pos += 1
+            t = Const(text) if text[0].isupper() else Var(text)
+            # fold the finished aterm into the innermost open parenthesis,
+            # closing parentheses until one expects a further aterm
+            while stack:
+                app, first = stack.pop()
+                app = t if app is None else App(app, t)
+                kind, text, _, _ = toks[self.pos]
+                if kind == "ident" or text == "(":
+                    stack.append((app, first))
+                    break
+                if text == "," and first is None:
+                    self.pos += 1
+                    stack.append((None, app))
+                    break
+                self.expect("punct", ")")
+                t = app if first is None else pair(first, app)
+            else:
+                return t
 
 
 def _check_scope(f: HornFormula, line: int):
@@ -261,7 +242,7 @@ def parse_atom(text: str) -> Atom:
     """Parse a single atom, e.g. a --goal argument."""
     p = _Parser(text)
     a = p.atom()
-    if p.peek().kind != "eof":
+    if p.peek()[0] != "eof":
         p.fail("trailing input after atom")
     return a
 

@@ -238,6 +238,27 @@ def test_missing_file_exits_two(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "command, args",
+    [
+        ("check", []),
+        ("check", ["--json"]),
+        ("trace", ["--goal", "Eq Int"]),
+        ("obs", ["--goal", "Eq Int"]),
+    ],
+)
+def test_invalid_utf8_exits_two(tmp_path, capsys, command, args):
+    path = tmp_path / "bad.asl"
+    path.write_bytes(b"module m where\nauto Eq \xff\n")
+    assert main([command, str(path), *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 23: "
+        "invalid start byte\n"
+    )
+
+
+@pytest.mark.parametrize(
     "flag, value",
     [
         ("--fuel", "0"),

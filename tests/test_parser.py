@@ -1,8 +1,12 @@
 import random
+import subprocess
+import sys
+from dataclasses import dataclass
 
 import pytest
 
 from cohorn.parser import (
+    KEYWORDS,
     Decl,
     ParseError,
     ScopeError,
@@ -16,12 +20,15 @@ from cohorn.syntax import (
     Atom,
     Const,
     HornFormula,
+    Term,
     Var,
     fact,
+    free_vars,
     mk_app,
     pair,
+    render_horn,
 )
-from conftest import eq
+from conftest import CORPUS, eq
 
 BUSH = """\
 module bush where
@@ -103,6 +110,35 @@ def test_parse_atom_helper():
     assert got == eq(mk_app(Const("Mu"), Const("HPTree"), Var("x")))
 
 
+def test_deep_terms_parse_at_the_default_recursion_limit():
+    # in a child, since `cohorn.cli.main` raises this interpreter's limit
+    code = """
+import sys
+from cohorn.parser import parse_atom, parse_module
+from cohorn.syntax import App, Atom, Const, Var, pair
+assert sys.getrecursionlimit() <= 1000
+n = 10_000
+chain, pairs = Const("Z"), Var("x")
+for _ in range(n):
+    chain, pairs = App(Const("S"), chain), pair(Var("x"), pairs)
+for text, term in [("(S " * n + "Z" + ")" * n, chain), ("(x, " * n + "x" + ")" * n, pairs)]:
+    want = Atom("Eq", (term,))
+    assert parse_atom("Eq " + text) == want
+    module = parse_module("module m where\\nauto Eq " + text + "\\n")
+    assert module.decls[0].formula.head == want
+print("ok")
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(CORPUS.parent.parent / "src")},
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "ok\n"
+
+
 # ---------------------------------------------------------------------------
 # pinned errors: message, line and column of each malformed input
 
@@ -138,6 +174,9 @@ ERROR_TABLE = [
     ('module', 'module m where\r\naxiom Eq a\r\n  => 1', "ParseError", "unexpected character '1'", 3, 6),
     ('module', 'module m where\r\nauto Eq (a\r\n', "ParseError", "expected ')', got 'end of input'", 3, 1),
     ('module', 'module m where\r\n\r\naxiom Eq a =>\r\n  Eq\r\n', "ScopeError", "variable 'a' occurs in the body but not in the head of (Eq a) => Eq", 3, None),
+    ('module', 'module m where\nauto Eq (lemma)\n', "ParseError", "expected '(', got 'lemma'", 2, 10),
+    ('module', 'module m where\nauto Eq (a, where)\n', "ParseError", "expected '(', got 'where'", 2, 13),
+    ('atom', 'Eq (auto a)', "ParseError", "expected '(', got 'auto'", 1, 5),
     ('atom', 'Eq a )', "ParseError", "trailing input after atom, got ')'", 1, 6),
     ('atom', 'Eq a b, c', "ParseError", "trailing input after atom, got ','", 1, 7),
     ('atom', 'Eq lemma', "ParseError", "trailing input after atom, got 'lemma'", 1, 4),
@@ -182,6 +221,16 @@ def test_render_parse_round_trip_on_bush():
     assert parse_module(render(m)) == m
 
 
+def test_keywords_are_not_variables_so_rendering_round_trips():
+    # `Eq (lemma)` used to parse, with a variable `lemma` that renders as
+    # `Eq lemma`, which does not parse back
+    for kw in sorted(KEYWORDS):
+        with pytest.raises(ParseError, match=f"^2:10: expected '\\(', got '{kw}'$"):
+            parse_module(f"module m where\nauto Eq ({kw})\n")
+    m = SourceModule("m", (Decl("auto", fact(eq(Var("lemma_"))), 2),))
+    assert parse_module(render(m)) == m
+
+
 def _random_formula(rng: random.Random) -> HornFormula:
     consts = ["Int", "Unit", "List", "Tree", "S"]
     head_vars = [Var(v) for v in ("x", "y", "z")[: rng.randint(0, 3)]]
@@ -217,3 +266,280 @@ def test_render_parse_round_trip_on_random_modules():
         assert back.name == m.name
         assert [d.kind for d in back.decls] == [d.kind for d in m.decls]
         assert [d.formula for d in back.decls] == [d.formula for d in m.decls]
+
+
+# ---------------------------------------------------------------------------
+# Reference: the parser before the regex lexer and the iterative term rule,
+# verbatim but for names
+
+REF_KEYWORDS = {"module", "where", "axiom", "lemma", "auto"}
+
+
+@dataclass(frozen=True)
+class RefToken:
+    kind: str  # "ident" | "punct" | "eof"
+    text: str
+    line: int
+    col: int
+
+
+def ref_tokenize(text: str) -> list[RefToken]:
+    toks: list[RefToken] = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if c == "-" and text.startswith("--", i):
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if c in "(),":
+            toks.append(RefToken("punct", c, line, col))
+            i += 1
+            col += 1
+            continue
+        if text.startswith("=>", i):
+            toks.append(RefToken("punct", "=>", line, col))
+            i += 2
+            col += 2
+            continue
+        if c.isalpha():
+            j = i
+            while j < n and (text[j].isalnum() or text[j] in "_'"):
+                j += 1
+            toks.append(RefToken("ident", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        raise ParseError(f"unexpected character {c!r}", line, col)
+    toks.append(RefToken("eof", "", line, col))
+    return toks
+
+
+class RefParser:
+    def __init__(self, text: str):
+        self.toks = ref_tokenize(text)
+        self.pos = 0
+
+    def peek(self) -> RefToken:
+        return self.toks[self.pos]
+
+    def next(self) -> RefToken:
+        t = self.toks[self.pos]
+        self.pos += 1
+        return t
+
+    def fail(self, msg: str):
+        t = self.peek()
+        got = t.text if t.kind != "eof" else "end of input"
+        raise ParseError(f"{msg}, got {got!r}", t.line, t.col)
+
+    def expect_punct(self, text: str) -> RefToken:
+        t = self.peek()
+        if t.kind != "punct" or t.text != text:
+            self.fail(f"expected {text!r}")
+        return self.next()
+
+    def expect_keyword(self, word: str) -> RefToken:
+        t = self.peek()
+        if t.kind != "ident" or t.text != word:
+            self.fail(f"expected {word!r}")
+        return self.next()
+
+    def expect_ident(self) -> RefToken:
+        t = self.peek()
+        if t.kind != "ident" or t.text in REF_KEYWORDS:
+            self.fail("expected an identifier")
+        return self.next()
+
+    # grammar rules -------------------------------------------------------
+
+    def module(self) -> SourceModule:
+        self.expect_keyword("module")
+        name = self.expect_ident().text
+        self.expect_keyword("where")
+        decls = []
+        while self.peek().kind != "eof":
+            decls.append(self.decl())
+        return SourceModule(name, tuple(decls))
+
+    def decl(self) -> Decl:
+        t = self.peek()
+        if t.kind != "ident" or t.text not in ("axiom", "lemma", "auto"):
+            self.fail("expected 'axiom', 'lemma' or 'auto'")
+        self.next()
+        formula = self.horn()
+        ref_check_scope(formula, t.line)
+        return Decl(t.text, formula, t.line)
+
+    def horn(self) -> HornFormula:
+        body: tuple[Atom, ...] = ()
+        t = self.peek()
+        if t.kind == "punct" and t.text == "(":
+            # atoms never start with '(' so this must be a context list
+            self.next()
+            atoms = [self.atom()]
+            while self.peek().text == ",":
+                self.next()
+                atoms.append(self.atom())
+            self.expect_punct(")")
+            self.expect_punct("=>")
+            body = tuple(atoms)
+        else:
+            first = self.atom()
+            if self.peek().text == "=>":
+                self.next()
+                body = (first,)
+            else:
+                return HornFormula((), first)
+        return HornFormula(body, self.atom())
+
+    def atom(self) -> Atom:
+        t = self.peek()
+        if t.kind != "ident" or t.text in REF_KEYWORDS or not t.text[0].isupper():
+            self.fail("expected a predicate (uppercase identifier)")
+        pred = self.next().text
+        args = []
+        while self._at_aterm():
+            args.append(self.aterm())
+        return Atom(pred, tuple(args))
+
+    def _at_aterm(self) -> bool:
+        t = self.peek()
+        if t.kind == "ident" and t.text not in REF_KEYWORDS:
+            return True
+        return t.kind == "punct" and t.text == "("
+
+    def aterm(self) -> Term:
+        t = self.peek()
+        if t.kind == "ident":
+            self.next()
+            return Const(t.text) if t.text[0].isupper() else Var(t.text)
+        self.expect_punct("(")
+        first = self.term()
+        if self.peek().text == ",":
+            self.next()
+            second = self.term()
+            self.expect_punct(")")
+            return pair(first, second)
+        self.expect_punct(")")
+        return first
+
+    def term(self) -> Term:
+        t = self.aterm()
+        while self._at_aterm():
+            t = App(t, self.aterm())
+        return t
+
+
+def ref_check_scope(f: HornFormula, line: int):
+    head_vars = set(free_vars(f.head))
+    for b in f.body:
+        for v in free_vars(b):
+            if v not in head_vars:
+                raise ScopeError(
+                    f"variable {v!r} occurs in the body but not in the head "
+                    f"of {render_horn(f)}",
+                    line,
+                )
+
+
+def ref_parse_module(text: str) -> SourceModule:
+    return RefParser(text).module()
+
+
+def ref_parse_atom(text: str) -> Atom:
+    """Parse a single atom, e.g. a --goal argument."""
+    p = RefParser(text)
+    a = p.atom()
+    if p.peek().kind != "eof":
+        p.fail("trailing input after atom")
+    return a
+
+
+# ---------------------------------------------------------------------------
+# the parser against the reference on mutated and random inputs
+
+_PIECES = [
+    "(", ")", ",", "=>", "-", "--", "=", "\n", "\r\n", " ", "\t", "\f", "_", "1",
+    "'", "\u00b2", "\ufeff", "\u00e9", "a", "X", "x'", "Eq", "Pair", "Unit",
+    *sorted(KEYWORDS),
+]
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        j = min(len(text), i + rng.randint(1, 4))
+        op = rng.randrange(3)
+        if op == 0:
+            text = text[:i] + text[j:]
+        elif op == 1:
+            text = text[:i] + rng.choice(_PIECES) + text[i:]
+        else:
+            text = text[:i] + text[i:j] + text[i:]
+    return text
+
+
+def _outcome(parse, text):
+    try:
+        return "ok", parse(text)
+    except ParseError as ex:
+        return "ParseError", str(ex), ex.line, ex.col
+    except ScopeError as ex:
+        return "ScopeError", str(ex), ex.line
+
+
+def _keyword_in_term(new, old) -> bool:
+    """The one allowed difference: a keyword where a term starts, which the
+    reference read as a variable, is an error at the keyword."""
+    if new[0] != "ParseError":
+        return False
+    _, message, line, col = new
+    if message not in {f"{line}:{col}: expected '(', got {kw!r}" for kw in KEYWORDS}:
+        return False
+    return old[0] != "ParseError" or old[2:] > (line, col)
+
+
+def _fuzz_inputs():
+    """(module text, atom text) pairs: mutated corpus files with one of
+    their lines less its first word, then short random strings."""
+    rng = random.Random(13)
+    seeds = [p.read_text(encoding="utf-8") for p in sorted(CORPUS.glob("*.asl"))]
+    seeds.append(BUSH.replace("\n", "\r\n"))
+    for _ in range(1500):
+        text = _mutate(rng, rng.choice(seeds))
+        yield text, rng.choice(text.split("\n")).partition(" ")[2]
+    for _ in range(1500):
+        text = "".join(rng.choice(_PIECES) for _ in range(rng.randint(0, 8)))
+        yield text, text
+
+
+def test_parser_agrees_with_the_reference_on_mutated_inputs():
+    keyword_cases = 0
+    for text, atom_text in _fuzz_inputs():
+        for parse, ref_parse, arg in [
+            (parse_module, ref_parse_module, text),
+            (parse_atom, ref_parse_atom, atom_text),
+        ]:
+            new, old = _outcome(parse, arg), _outcome(ref_parse, arg)
+            if new != old:
+                assert _keyword_in_term(new, old), (arg, new, old)
+                keyword_cases += 1
+            elif new[0] == "ok" and parse is parse_module:
+                # every accepted module prints back to itself
+                back = parse_module(render(new[1]))
+                assert [(d.kind, d.formula) for d in back.decls] == [
+                    (d.kind, d.formula) for d in new[1].decls
+                ]
+    assert keyword_cases > 0
