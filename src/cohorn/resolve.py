@@ -14,6 +14,7 @@ from bisect import bisect_left
 from collections import deque
 from itertools import islice
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .syntax import (
@@ -29,7 +30,8 @@ from .syntax import (
     MAtom,
     Mixed,
     Var,
-    apply,
+    compile_apply,
+    compile_match,
     match,
     mk_eapp,
     render_atom,
@@ -45,6 +47,7 @@ class EntryKind(enum.Enum):
 
 
 CLAUSE_KINDS = (EntryKind.AXIOM, EntryKind.LEMMA)
+COLD_LOOKUPS = 8  # `match` scans of one (predicate, key) before compiling its heads
 
 
 @dataclass(frozen=True)
@@ -59,6 +62,24 @@ class Entry:
         if self.kind in CLAUSE_KINDS:
             return EAxiom(self.name)
         return EVar(self.name)
+
+    @cached_property
+    def matcher(self):
+        """The head by `compile_match`, made on first use and never pickled."""
+        return compile_match(self.formula.head)
+
+    @cached_property
+    def builder(self):
+        """(ref(), the body by `compile_apply`), made like `matcher`."""
+        return self.ref(), compile_apply(self.formula.body)
+
+    def instantiate(self, sigma: dict) -> tuple[Evidence, tuple[Atom, ...]]:
+        """(ref(), the body under sigma)."""
+        ref, build = self.builder
+        return ref, build(sigma)
+
+    def __getstate__(self):
+        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
 def axiom(name: str, formula: HornFormula) -> Entry:
@@ -78,9 +99,9 @@ def cohypothesis(name: str, formula: HornFormula) -> Entry:
 
 
 def index_key(atom: Atom):
-    """The clause-index key of an atom's first argument: its spine head
-    symbol (a Const or Eigen) with its argument count, or None when the
-    predicate is nullary or the first argument is a variable or has a
+    """The clause-index key of an atom's first argument: the class, name and
+    argument count of its spine head symbol (a Const or Eigen), or None when
+    the predicate is nullary or the first argument is a variable or has a
     variable spine head.  A clause head keyed k can only match a goal keyed
     k; a clause head keyed None may match any goal of its predicate, and a
     goal keyed None only such a clause."""
@@ -93,7 +114,7 @@ def index_key(atom: Atom):
         n += 1
     if isinstance(t, Var):
         return None
-    return t, n
+    return t.__class__, t.name, n
 
 
 class _ClauseStore:
@@ -106,6 +127,7 @@ class _ClauseStore:
         self.positions: dict[str, int] = {}
         self.buckets: dict[tuple, list[int]] = {}
         self.overlaps: dict[int, bool] = {}  # heads_overlap by size
+        self.kept: dict[tuple, object] = {}  # see `AxiomEnv.matching`
         for e in entries:
             self.append(e)
 
@@ -116,10 +138,19 @@ class _ClauseStore:
         head = entry.formula.head
         self.buckets.setdefault((head.pred, index_key(head)), []).append(pos)
 
-    def bucket(self, pred: str, key, size: int) -> list[int]:
-        """Positions below `size` filed under (pred, key), ascending."""
+    def bucket(self, pred: str, key, size: int, low: int = 0) -> list[int]:
+        """Positions from `low` below `size` filed under (pred, key), ascending."""
         positions = self.buckets.get((pred, key), [])
-        return positions[: bisect_left(positions, size)]
+        return positions[bisect_left(positions, low) : bisect_left(positions, size)]
+
+    def candidates(self, pred: str, key, size: int, low: int = 0) -> list[int]:
+        """Positions from `low` below `size` in the bucket of a goal keyed
+        `key` or in the wildcard bucket, ascending."""
+        found = self.bucket(pred, None, size, low)
+        if key is not None:
+            keyed = self.bucket(pred, key, size, low)
+            found = sorted(found + keyed) if found else keyed
+        return found
 
 
 class AxiomEnv:
@@ -224,20 +255,29 @@ class AxiomEnv:
             )
         return store.overlaps[n]
 
-    def matching(self, goal: Atom):
-        """Yield (entry, sigma) for each axiom and lemma whose head matches
-        `goal`, newest first."""
-        store, n = self._store, self._size
-        key = index_key(goal)
-        found = store.bucket(goal.pred, None, n)
-        if key is not None:
-            keyed = store.bucket(goal.pred, key, n)
-            found = sorted(found + keyed) if found else keyed
-        for p in reversed(found):
-            e = store.entries[p]
-            s = match(e.formula.head, goal)
-            if s is not None:
-                yield e, s
+    def matching(self, goal: Atom) -> list[tuple[Entry, dict]]:
+        """(entry, sigma) for each axiom and lemma whose head matches `goal`,
+        newest first.  The store counts the lookups per (predicate, key) and
+        runs `match` for the first COLD_LOOKUPS.  Then it keeps the ascending
+        positions and (entry, compiled head) pairs up to the largest size
+        looked up: the store only grows, so kept prefixes stay exact, and
+        concurrent readers keep complete lists."""
+        store, n, pred, key = self._store, self._size, goal.pred, index_key(goal)
+        kept = store.kept.get((pred, key), 0)
+        if kept.__class__ is int and kept < COLD_LOOKUPS:
+            store.kept[pred, key] = kept + 1
+            found = [store.entries[p] for p in reversed(store.candidates(pred, key, n))]
+            found = [(e, match(e.formula.head, goal)) for e in found]
+            return [(e, s) for e, s in found if s is not None]
+        done, ps, pairs = (0, (), ()) if kept.__class__ is int else kept
+        if done < n:
+            new = store.candidates(pred, key, n, done)
+            ps += tuple(new)
+            new = [store.entries[p] for p in new]
+            pairs += tuple((e, e.matcher) for e in new)
+            store.kept[pred, key] = n, ps, pairs
+        pairs = pairs[: bisect_left(ps, n)]
+        return [(e, s) for e, m in reversed(pairs) if (s := m(goal)) is not None]
 
     def __iter__(self):
         return iter(self.entries)
@@ -307,6 +347,8 @@ def candidates(env: AxiomEnv, goal: Atom, depth: int):
     Also a flag that is set when a cohypothesis matched but was withheld by
     the guardedness restriction.  With no assumptions in scope this is
     plain resolution's order."""
+    if not env.assumptions:
+        return env.matching(goal), False
     hyps = []
     cohyps = []
     blocked = False
@@ -321,7 +363,7 @@ def candidates(env: AxiomEnv, goal: Atom, depth: int):
                     cohyps.append((e, s))
                 else:
                     blocked = True
-    return hyps + cohyps + list(env.matching(goal)), blocked
+    return hyps + cohyps + env.matching(goal), blocked
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +383,12 @@ def resolve(env: AxiomEnv, goal: Atom, fuel: Fuel | int = 10_000) -> Evidence:
     failure is due only to the guardedness restriction.
 
     The search state is immutable, so a choice point stores it in O(1):
-    `todo` is a linked list (item, rest) of pending work, leftmost first,
-    and `done` a linked list of the proofs found so far, newest first.  An
-    item is a subgoal (atom, depth) or a closer (ref, n, atom, depth), which
-    sits right after the n body subgoals of the clause application that
-    proved atom at guard depth `depth` and applies ref to their n proofs.
-    A choice point is (candidates, next index, atom, depth, todo, done).
+    `todo` links pending work, leftmost first: subgoals (atom, depth, rest)
+    and closers (ref, n, atom, depth, rest).  A closer follows the n body
+    subgoals of the clause application that proved atom at guard depth
+    `depth` and applies ref to their n proofs; `done` links the proofs found
+    so far, newest first.  A choice point is (candidates, next index, atom,
+    depth, todo, done).
 
     Cycle rule: FuelExhausted is also raised as soon as the current
     derivation path, the closers in `todo`, proves one atom twice at guard
@@ -363,7 +405,7 @@ def resolve(env: AxiomEnv, goal: Atom, fuel: Fuel | int = 10_000) -> Evidence:
     """
     if isinstance(fuel, int):
         fuel = Fuel(fuel)
-    todo = ((goal, 0), None)
+    todo = (goal, 0, None)
     done = None
     choices: list[tuple] = []
     stuck_at: Optional[Atom] = None
@@ -372,16 +414,15 @@ def resolve(env: AxiomEnv, goal: Atom, fuel: Fuel | int = 10_000) -> Evidence:
     next_check = FIRST_CYCLE_CHECK
 
     while todo is not None:
-        item, todo = todo
-        if len(item) == 4:  # a closer: apply ref to the n newest proofs
-            ref, n = item[0], item[1]
+        if len(todo) == 5:  # a closer: apply ref to the n newest proofs
+            ref, n, _, _, todo = todo
             args = []
             for _ in range(n):
                 ev, done = done
                 args.append(ev)
             done = (mk_eapp(ref, *reversed(args)), done)
             continue
-        atom, depth = item
+        atom, depth, todo = todo
         cands, blocked = candidates(env, atom, depth)
         saw_blocked = saw_blocked or blocked
         i = 0
@@ -400,23 +441,23 @@ def resolve(env: AxiomEnv, goal: Atom, fuel: Fuel | int = 10_000) -> Evidence:
                 choices.append((cands, i + 1, atom, depth, todo, done))
         entry, sigma = cands[i]
         fuel.spend()
-        body = entry.formula.body
-        todo = ((entry.ref(), len(body), atom, depth), todo)
+        ref, body = entry.instantiate(sigma)
+        todo = (ref, len(body), atom, depth, todo)
         inc = 1 if entry.kind in CLAUSE_KINDS else 0
         for b in reversed(body):
-            todo = ((apply(sigma, b), depth + inc), todo)
+            todo = (b, depth + inc, todo)
         applied += 1
         if applied == next_check:
             next_check *= 2
-            seen = set()
+            seen = set(), set()  # atoms proved at depth 0, at depth >= 1
             rest = todo
             while rest is not None:
-                work, rest = rest
-                if len(work) == 4:
-                    key = (work[2], min(work[3], 1))
-                    if key in seen:
+                if len(rest) == 5:
+                    atoms = seen[rest[3] >= 1]
+                    if rest[2] in atoms:
                         raise FuelExhausted()
-                    seen.add(key)
+                    atoms.add(rest[2])
+                rest = rest[-1]
     return done[0]
 
 
@@ -528,11 +569,10 @@ class StepMachine(Cursor):
         """(replacement, body atoms) by the newest matching clause, or None."""
         entry = self._memo.get(id(atom))
         if entry is None:
-            found = next(self.env.matching(atom), None)
+            found = next(iter(self.env.matching(atom)), None)
             if found is not None:
-                e, s = found
-                body = tuple(apply(s, b) for b in e.formula.body)
-                found = mk_eapp(e.ref(), *map(MAtom, body)), body
+                ref, body = found[0].instantiate(found[1])
+                found = mk_eapp(ref, *map(MAtom, body)), body
             entry = self._memo[id(atom)] = atom, found  # the atom pins its id
         return entry[1]
 
@@ -638,7 +678,7 @@ class ResolutionTree:
 
 
 def _unique_clause(env: AxiomEnv, goal: Atom):
-    found = list(env.matching(goal))
+    found = env.matching(goal)
     if len(found) > 1:
         raise OverlapError(goal, [e.name for e, _ in reversed(found)])
     return found[0] if found else None
@@ -692,9 +732,9 @@ def build_tree(
             status[pos + (1,)] = NodeStatus.SUCCESS
             count += 1
             continue
-        for i, b in enumerate(entry.formula.body, start=1):
+        for i, b in enumerate(entry.instantiate(sigma)[1], start=1):
             child = pos + (i,)
-            nodes[child] = apply(sigma, b)
+            nodes[child] = b
             count += 1
             queue.append(child)
     return ResolutionTree(goal, nodes, status, clause_at, formulas, truncated, frontier)

@@ -58,18 +58,19 @@ class _CachedHash:
     _hash = None
 
     def __hash__(self):
-        if self._hash is None:
+        h = self._hash
+        if h is None:  # hash each node once its App children are hashed
             stack = [self]
             while stack:
                 node = stack[-1]
-                subterms = node.args if type(node) is Atom else node._key()
-                missing = [t for t in subterms if type(t) is App and t._hash is None]
-                if missing:
-                    stack += missing
+                for t in node.args if type(node) is Atom else node._key():
+                    if type(t) is App and t._hash is None:
+                        stack.append(t)
+                        break
                 else:
                     stack.pop()
-                    object.__setattr__(node, "_hash", hash(node._key()))
-        return self._hash
+                    object.__setattr__(node, "_hash", h := hash(node._key()))
+        return h
 
     def __getstate__(self):
         state = dict(self.__dict__)
@@ -357,6 +358,68 @@ def match(pattern: Atom, subject: Atom) -> Optional[Subst]:
     return {x: t for x, t in binds.items() if not (isinstance(t, Var) and t.name == x)}
 
 
+COMPILE_DEPTH = 32  # past this depth a compiled head calls match_term
+
+
+def _compile_pattern(p: Term, seen: set[str], depth: int = 0):
+    """(subject, binds) -> bool like `match_term`; x bound to x sets key None."""
+    if p.__class__ is Var:
+        x = p.name
+        if x in seen:
+            return lambda t, b: b[x] == t
+        seen.add(x)
+
+        def bind(t, b):
+            b[x] = t
+            if t.__class__ is Var and t.name == x:
+                b[None] = True
+            return True
+
+        return bind
+    if p.__class__ is not App or p.ground():
+        return lambda t, b: t == p
+    if depth == COMPILE_DEPTH:
+        seen.update(free_vars(p))
+        return lambda t, b: match_term(p, t, b) and b.setdefault(None, True)
+    fun, arg = [_compile_pattern(u, seen, depth + 1) for u in (p.fun, p.arg)]
+    return lambda t, b: t.__class__ is App and fun(t.fun, b) and arg(t.arg, b)
+
+
+def compile_match(head: Atom):
+    """A function equal to `lambda goal: match(head, goal)`."""
+    pred, n, seen = head.pred, len(head.args), set()
+    parts = [_compile_pattern(p, seen) for p in head.args]
+
+    def matcher(goal: Atom) -> Optional[Subst]:
+        if goal.pred != pred or len(goal.args) != n:
+            return None
+        b: dict = {}
+        for m, t in zip(parts, goal.args):
+            if not m(t, b):
+                return None
+        if b.pop(None, False):
+            return {x: t for x, t in b.items() if t != Var(x)}
+        return b
+
+    return matcher
+
+
+def _compile_term(t: Term):
+    """s -> apply_term(s, t), sharing the ground subterms of t."""
+    if t.__class__ is Var:
+        return lambda s: s.get(t.name, t)
+    if t.__class__ is not App or t.ground():
+        return lambda s: t
+    fun, arg = _compile_term(t.fun), _compile_term(t.arg)
+    return lambda s: App(fun(s), arg(s))
+
+
+def compile_apply(atoms: tuple[Atom, ...]):
+    """A function equal to `lambda s: tuple(apply(s, a) for a in atoms)`."""
+    parts = [(a.pred, [_compile_term(t) for t in a.args]) for a in atoms]
+    return lambda s: tuple([Atom(p, tuple([f(s) for f in fs])) for p, fs in parts])
+
+
 def unifiable(a: Atom, b: Atom) -> bool:
     """Whether some atom is an instance of both `a` and `b`, whose
     variables are kept apart: a variable is bound per side, as (side, name).
@@ -616,30 +679,57 @@ def alpha_equal(e1: Mixed, e2: Mixed) -> bool:
 # lemmas through named recursion instead).
 
 
-def _is_pair(t: Term) -> bool:
-    return (
-        isinstance(t, App)
-        and isinstance(t.fun, App)
-        and isinstance(t.fun.fun, Const)
-        and t.fun.fun.name == PAIR
-    )
+_NAMED = {Var, Const, Eigen, EAxiom, EVar}
+_PAIR = Const(PAIR)
 
 
-def render_term(t: Term, atomic: bool = False) -> str:
-    if isinstance(t, (Var, Const, Eigen)):
-        return t.name
-    if _is_pair(t):
-        return f"({render_term(t.fun.arg)}, {render_term(t.arg)})"
-    head, args = spine_term(t)
-    s = " ".join([render_term(head)] + [render_term(a, atomic=True) for a in args])
-    return f"({s})" if atomic else s
+def render_term(x, atomic: bool = False) -> str:
+    """Print a term, atom or mixed term.  `stack` holds what is left to
+    print, last first: strings and (node, atomic) pairs."""
+    out: list[str] = []
+    stack: list = [(x, atomic)]
+    while stack:
+        t = stack.pop()
+        if type(t) is str:
+            out.append(t)
+            continue
+        t, atomic = t
+        cls = type(t)
+        if cls is MAtom:
+            t, cls = t.atom, Atom
+        if cls in _NAMED:
+            out.append(t.name)
+        elif cls is Hole:
+            out.append("<*>")
+        elif cls is App and type(t.fun) is App and t.fun.fun == _PAIR:
+            out.append("(")
+            stack += [")", (t.arg, False), ", ", (t.fun.arg, False)]
+        elif cls is ELam or cls is EMu:
+            kw = "mu" if cls is EMu else "\\"
+            out.append(f"{'(' * atomic}{kw} {t.binder} . ")
+            stack += [")", (t.body, False)] if atomic else [(t.body, False)]
+        elif cls is Atom or cls is App or cls is EApp:
+            if atomic and (cls is not Atom or t.args):
+                out.append("(")
+                stack.append(")")
+            if cls is Atom:
+                out.append(t.pred)
+                args, head = reversed(t.args), None
+            else:  # walk down the spine, meeting the arguments last first
+                args, head = [], t
+                while type(head) is cls:
+                    args.append(head.arg)
+                    head = head.fun
+            for a in args:
+                stack += [" " + a.name] if type(a) in _NAMED else [(a, True), " "]
+            if head is not None:
+                stack.append((head, True))
+        else:
+            raise TypeError(f"cannot render {cls.__name__}")
+    return "".join(out)
 
 
-def render_atom(a: Atom, atomic: bool = False) -> str:
-    if not a.args:
-        return a.pred
-    s = " ".join([a.pred] + [render_term(t, atomic=True) for t in a.args])
-    return f"({s})" if atomic else s
+render_atom = render_evidence = render_term
 
 
 def render_horn(h: HornFormula) -> str:
@@ -647,26 +737,3 @@ def render_horn(h: HornFormula) -> str:
         return render_atom(h.head)
     ctx = ", ".join(render_atom(b) for b in h.body)
     return f"({ctx}) => {render_atom(h.head)}"
-
-
-def render_evidence(e: Mixed, atomic: bool = False) -> str:
-    if isinstance(e, (EAxiom, EVar)):
-        return e.name
-    if isinstance(e, Hole):
-        return "<*>"
-    if isinstance(e, MAtom):
-        return render_atom(e.atom, atomic=atomic)
-    if isinstance(e, EApp):
-        head, args = spine_evidence(e)
-        s = " ".join(
-            [render_evidence(head, atomic=True)]
-            + [render_evidence(a, atomic=True) for a in args]
-        )
-        return f"({s})" if atomic else s
-    if isinstance(e, ELam):
-        s = f"\\ {e.binder} . {render_evidence(e.body)}"
-        return f"({s})" if atomic else s
-    if isinstance(e, EMu):
-        s = f"mu {e.binder} . {render_evidence(e.body)}"
-        return f"({s})" if atomic else s
-    raise TypeError(f"cannot render {type(e).__name__}")

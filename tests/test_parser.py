@@ -139,6 +139,41 @@ print("ok")
     assert out.stdout == "ok\n"
 
 
+def test_deep_modules_print_and_parse_back_at_the_default_recursion_limit():
+    # in a child, since `cohorn.cli.main` raises this interpreter's limit;
+    # the printer used to recurse once per nesting level
+    code = """
+import sys
+from cohorn.parser import parse_module, render
+from cohorn.syntax import EApp, EAxiom, ELam, render_evidence
+assert sys.getrecursionlimit() <= 1000
+n = 10_000
+chain, pairs = "(S " * n + "Z" + ")" * n, "(x, " * n + "x" + ")" * n
+for text in (chain, pairs):
+    module = parse_module(
+        f"module m where\\naxiom Eq {chain}\\nlemma Eq x => Eq (x, {text})\\nauto Eq {text}\\n"
+    )
+    printed = render(module)
+    assert parse_module(printed) == module
+    assert render(parse_module(printed)) == printed
+ev, lam = EAxiom("KZ"), EAxiom("KZ")
+for _ in range(n):
+    ev, lam = EApp(EAxiom("KS"), ev), ELam("b", lam)
+assert render_evidence(ev, atomic=True) == "(KS " * n + "KZ" + ")" * n
+assert render_evidence(lam) == "\\\\ b . " * n + "KZ"
+print("ok")
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(CORPUS.parent.parent / "src")},
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "ok\n"
+
+
 # ---------------------------------------------------------------------------
 # pinned errors: message, line and column of each malformed input
 

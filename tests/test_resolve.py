@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import importlib
+import pickle
 import random
 import sys
 import threading
@@ -63,6 +65,7 @@ from conftest import (
     random_terminating_case,
 )
 
+resolve_module = importlib.import_module("cohorn.resolve")  # not the function
 Int = Const("Int")
 KPAIR_INT_INT = mk_eapp(EAxiom("KPair"), EAxiom("KInt"), EAxiom("KInt"))
 
@@ -416,12 +419,18 @@ def random_index_env(rng):
     return env, goals
 
 
-def test_clause_index_agrees_with_brute_force_scan():
+def test_clause_index_agrees_with_brute_force_scan(monkeypatch):
     rng = random.Random(2024)
     policy = CorecPolicy()
     hits = 0
-    for _ in range(300):
+    for k in range(300):
+        # compiled heads from the first `matching` call of a (pred, key) on,
+        # from its third, or never
+        monkeypatch.setattr(resolve_module, "COLD_LOOKUPS", (0, 2, 10**9)[k % 3])
         env, goals = random_index_env(rng)
+        for e in env.entries:  # compiled heads against `match`, identity included
+            for goal in (e.formula.head, *goals[:5]):
+                assert e.matcher(goal) == match(e.formula.head, goal)
         for goal in goals:
             expected = brute_newest_first(env, goal)
             hits += bool(expected)
@@ -442,6 +451,9 @@ def test_clause_index_agrees_with_brute_force_scan():
                     names[0] if names else None
                 )
             assert (StepMachine(env, MAtom(goal)).reducible == 1) == bool(names)
+            if goal.args:  # the same predicate at another arity
+                other = Atom(goal.pred, goal.args[1:])
+                assert list(env.matching(other)) == brute_newest_first(env, other)
     # the generator must exercise the matching side, not only misses
     assert hits > 1000
 
@@ -477,7 +489,7 @@ def test_heads_overlap_is_kept_per_store_and_size():
     assert other._store is not env._store and not other.heads_overlap()
 
 
-def test_branched_snapshots_are_isolated():
+def test_branched_snapshots_are_isolated(monkeypatch):
     x = Var("x")
     base = AxiomEnv([axiom("K0", fact(eq(Int)))])
     a = axiom("KA", fact(eq(App(Const("List"), x))))
@@ -512,6 +524,55 @@ def test_branched_snapshots_are_isolated():
     with pytest.raises(ValueError):
         base.extended(a, axiom("KA", fact(eq(Int))))
     assert e1.entries == (base.entries[0], a)
+    # candidate tuples kept at one size stay exact when the tip grows and
+    # when a snapshot below the tip copies the store
+    monkeypatch.setattr(resolve_module, "COLD_LOOKUPS", 0)
+    heads = [eq(App(Const("List"), x)), eq(x), eq(App(Const("List"), Int)), eq(Int)]
+    goals = [eq(App(Const("List"), Int)), eq(Int), eq(Const("Unit")), Atom("R")]
+    chain = [AxiomEnv([axiom("H0", fact(heads[0]))])]
+    for i, h in enumerate(heads[1:], start=1):
+        chain.append(chain[-1].extended(axiom(f"H{i}", fact(h))))
+    for env in chain:
+        for goal in goals:
+            assert list(env.matching(goal)) == brute_newest_first(env, goal)
+    store = chain[-1]._store
+    # one tuple per (pred, key), covering the largest size looked up
+    assert len(store.kept) == len(goals)
+    assert all(done == len(chain) for done, _, _ in store.kept.values())
+    tip = chain[-1].extended(axiom("T", fact(eq(x))))
+    copied = chain[1].extended(lemma("C", fact(eq(Int)), EAxiom("C")))
+    assert tip._store is store and copied._store is not store
+    for env in (*chain, tip, copied):
+        for goal in goals:
+            assert list(env.matching(goal)) == brute_newest_first(env, goal)
+    for kept in (store, copied._store):
+        assert kept.kept.keys() <= {(g.pred, index_key(g)) for g in goals}
+        for done, ps, pairs in kept.kept.values():
+            assert len(set(ps)) == len(ps) == len(pairs) and ps == tuple(sorted(ps))
+            assert [e for e, _ in pairs] == [kept.entries[p] for p in ps]
+    assert all(done == len(tip) for done, _, _ in store.kept.values())
+
+
+def test_pickled_entries_carry_no_compiled_clause(phi_hptree, monkeypatch):
+    monkeypatch.setattr(resolve_module, "COLD_LOOKUPS", 0)
+    goal = eq(mk_app(Const("Mu"), Const("HPTree"), Int))
+    with pytest.raises(FuelExhausted):
+        resolve(phi_hptree, goal, 300)
+    used = [e for e in phi_hptree.entries if "matcher" in vars(e)]
+    assert len(used) == 4 and all("builder" in vars(e) for e in used)
+    copies = []
+    for e in used:
+        assert not {"matcher", "builder"} & set(e.__reduce_ex__(2)[2])
+        copy = pickle.loads(pickle.dumps(e))
+        assert copy == e and not {"matcher", "builder"} & set(vars(copy))
+        copies.append(copy)
+    fresh = AxiomEnv(pickle.loads(pickle.dumps(phi_hptree.entries)))
+    for env in (fresh, AxiomEnv(copies)):
+        fuel = Fuel(300)
+        with pytest.raises(FuelExhausted):
+            resolve(env, goal, fuel)
+        assert fuel.remaining == -1
+    assert resolve(fresh, eq(pair(Int, Int))) == KPAIR_INT_INT
 
 
 def test_snapshots_read_safely_while_the_store_grows():

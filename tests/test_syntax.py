@@ -1,5 +1,7 @@
 import pickle
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -15,10 +17,13 @@ from cohorn.syntax import (
     EVar,
     PredicateMismatch,
     Var,
+    COMPILE_DEPTH,
     alpha_equal,
     anti_unify,
     anti_unify_all,
     apply,
+    compile_apply,
+    compile_match,
     compose,
     free_vars,
     match,
@@ -31,7 +36,15 @@ from cohorn.syntax import (
     unifiable,
     var_multiset,
 )
-from conftest import eq, random_atom, random_index_head, random_term
+from conftest import (
+    CORPUS,
+    EIGEN,
+    eq,
+    random_atom,
+    random_index_goal,
+    random_index_head,
+    random_term,
+)
 
 Int = Const("Int")
 Mu = Const("Mu")
@@ -319,6 +332,113 @@ def test_term_hashes_are_the_field_tuple_hashes():
         shared = App(shared, shared)
     assert hash(shared) == hash((shared.fun, shared.arg))
     assert App(Const("F"), Var("x")) != Var("x") and Var("x") != App(Const("F"), Var("x"))
+
+
+class _Hashed:
+    """Stands for a child whose hash is already known."""
+
+    def __init__(self, h):
+        self.h = h
+
+    def __hash__(self):
+        return self.h
+
+
+def field_tuple_hash(t) -> int:
+    """hash(t._key()), computed from the children's field-tuple hashes with
+    no cache: a tuple's hash depends only on its items' hashes."""
+    if isinstance(t, Atom):
+        return hash((t.pred, tuple(_Hashed(field_tuple_hash(u)) for u in t.args)))
+    if isinstance(t, App):
+        return hash(tuple(_Hashed(field_tuple_hash(u)) for u in (t.fun, t.arg)))
+    return hash(t)
+
+
+def fresh_copy(t):
+    if isinstance(t, Atom):
+        return Atom(t.pred, tuple(fresh_copy(u) for u in t.args))
+    return App(fresh_copy(t.fun), fresh_copy(t.arg)) if isinstance(t, App) else t
+
+
+def test_hash_fast_path_keeps_the_field_tuple_hashes():
+    # the first hash of a node walks its unhashed children, or takes the
+    # fast path when they are all hashed; both must give the same value
+    rng = random.Random(41)
+    for _ in range(1500):
+        atom = random_atom(rng, rng.randint(0, 3), ["x", "y"])
+        expected = field_tuple_hash(atom)
+        nodes = [atom]
+        for node in nodes:
+            nodes += [u for u in getattr(node, "args", ()) if isinstance(u, App)]
+            if isinstance(node, App):
+                nodes += [u for u in (node.fun, node.arg) if isinstance(u, App)]
+        for order in (nodes, nodes[::-1], rng.sample(nodes, len(nodes))):
+            copies = {id(n): fresh_copy(n) for n in order}
+            for n in order:  # parents first, children first, or mixed
+                c = copies[id(n)]
+                assert hash(c) == hash(c._key()) == field_tuple_hash(c)
+        top = fresh_copy(atom)
+        assert hash(top) == hash(top._key()) == expected
+
+
+def test_fresh_deep_terms_hash_at_the_default_recursion_limit():
+    # in a child, since `cohorn.cli.main` raises this interpreter's limit
+    code = """
+import sys
+from cohorn.syntax import App, Atom, Const, Var
+assert sys.getrecursionlimit() <= 1000
+chain = Var("x")
+for _ in range(16_000):
+    chain = App(Const("S"), chain)
+atom = Atom("Eq", (chain, chain.arg))
+assert hash(atom) == hash(("Eq", (chain, chain.arg))) and hash(chain) == hash(chain._key())
+print("ok")
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(CORPUS.parent.parent / "src")},
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "ok\n"
+
+
+# ---------------------------------------------------------------------------
+# compiled clause heads and bodies
+
+
+def test_compiled_heads_and_bodies_agree_with_match_and_apply():
+    rng = random.Random(99)
+    kinds = Counter()
+    S = Const("S")
+    deep = x
+    for _ in range(COMPILE_DEPTH + 8):  # past the depth where `match_term` takes over
+        deep = App(S, deep)
+    extra = [Atom("P", (deep, x)), Atom("P", (deep, apply({"x": Int}, deep)))]
+    for k in range(2500):
+        head = extra[k % 2] if k % 50 < 2 else random_index_head(rng, ["x", "y", "f", "a"])
+        if rng.random() < 0.3:  # non-linear: variables merged
+            head = apply({v: Var(rng.choice("xy")) for v in free_vars(head)}, head)
+        goals = [head, random_index_goal(rng, [head]), random_index_goal(rng, [head])]
+        goals += [
+            apply({v: rng.choice([Int, EIGEN, Var(v), Var("z")]) for v in free_vars(head)}, head),
+            Atom(head.pred, head.args + (Int,)),  # another arity
+            Atom(head.pred, head.args[1:]),
+        ]
+        matcher = compile_match(head)
+        for goal in goals:
+            got = matcher(goal)
+            assert got == match(head, goal), (head, goal)
+            kinds["hit" if got else "identity" if got == {} else "miss"] += 1
+        body = tuple(random_atom(rng, rng.randint(0, 2), free_vars(head) or ["x"]) for _ in range(2))
+        body += (head,)
+        build = compile_apply(body)
+        for sigma in (match(head, g) for g in goals):
+            sigma = sigma or {v: random_term(rng, 2, ["z"]) for v in free_vars(head)[:1]}
+            assert build(sigma) == tuple(apply(sigma, b) for b in body)
+    assert min(kinds.values()) >= 500, kinds
 
 
 # ---------------------------------------------------------------------------
