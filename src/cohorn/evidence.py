@@ -249,6 +249,16 @@ def iterate_context(ctx: Mixed, d: Atom, m: int) -> Mixed:
     return out
 
 
+def _instance_of(goal: Atom):
+    """atom -> match(goal, atom).  A ground goal matches only itself, so
+    an atom whose cached hash differs is rejected in O(1), not by walking
+    both terms; a goal with variables always goes to `match`."""
+    if free_vars(goal):
+        return lambda atom: match(goal, atom)
+    h = hash(goal)
+    return lambda atom: None if hash(atom) != h else match(goal, atom)
+
+
 def detect_simple_loop(
     env: AxiomEnv, goal: Atom, fuel: int = 10_000
 ) -> Optional[SimpleLoop]:
@@ -259,14 +269,16 @@ def detect_simple_loop(
     satisfies sigma D ->* C_D[D] with no further atoms, all within fuel.
     The trace is stepped lazily and the search stops at the first verified
     loop.  Instances of the goal are reducible, so a qualifying state has
-    one reducible atom, the next redex; other states cost O(1) to reject.
+    one reducible atom, the next redex; other states cost O(1) to reject,
+    and so does a redex other than a ground goal itself (`_instance_of`).
     """
     m = StepMachine(env, MAtom(goal))
+    instance = _instance_of(goal)
     while m.steps < fuel and m.advance():
         if m.reducible != 1:
             continue
         atom = m.redex()
-        sigma = match(goal, atom)
+        sigma = instance(atom)
         if sigma is None:
             continue
         state = m.state()
@@ -305,13 +317,14 @@ def observational_points(
         return records
     hypset = set(loop.hypotheses)
     m = StepMachine(loop.env, MAtom(loop.goal))
+    instance = _instance_of(loop.goal)
     while m.steps < fuel and m.advance():
         # the hypotheses are irreducible and an instance of the goal is
         # reducible, so only a state with one reducible atom can qualify
         if m.reducible != 1:
             continue
         atom = m.redex()
-        if match(loop.goal, atom) is None:
+        if instance(atom) is None:
             continue
         if {a for a in iter_atoms(m.state()) if a != atom} != hypset:
             continue

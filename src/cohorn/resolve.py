@@ -373,6 +373,20 @@ def candidates(env: AxiomEnv, goal: Atom, depth: int):
 FIRST_CYCLE_CHECK = 16
 
 
+def _path_repeats(todo) -> bool:
+    """Whether the closers in `todo`, the derivation path, prove one atom
+    twice at guard depths that are equal or both >= 1."""
+    seen = set(), set()  # atoms proved at depth 0, at depth >= 1
+    while todo is not None:
+        if len(todo) == 7:
+            atoms = seen[todo[3] >= 1]
+            if todo[2] in atoms:
+                return True
+            atoms.add(todo[2])
+        todo = todo[-1]
+    return False
+
+
 def resolve(env: AxiomEnv, goal: Atom, fuel: Fuel | int = 10_000) -> Evidence:
     """Prove an atomic goal by term-matching resolution, corecursively when
     `env` holds hypotheses or a coinductive hypothesis.
@@ -384,11 +398,11 @@ def resolve(env: AxiomEnv, goal: Atom, fuel: Fuel | int = 10_000) -> Evidence:
 
     The search state is immutable, so a choice point stores it in O(1):
     `todo` links pending work, leftmost first: subgoals (atom, depth, rest)
-    and closers (ref, n, atom, depth, rest).  A closer follows the n body
-    subgoals of the clause application that proved atom at guard depth
-    `depth` and applies ref to their n proofs; `done` links the proofs found
-    so far, newest first.  A choice point is (candidates, next index, atom,
-    depth, todo, done).
+    and closers (ref, n, atom, depth, applied, events, rest).  A closer
+    follows the n body subgoals of the clause application that proved atom
+    at guard depth `depth` and applies ref to their n proofs; `done` links
+    the proofs found so far, newest first.  A choice point is (candidates,
+    next index, atom, depth, todo, done).
 
     Cycle rule: FuelExhausted is also raised as soon as the current
     derivation path, the closers in `todo`, proves one atom twice at guard
@@ -402,6 +416,22 @@ def resolve(env: AxiomEnv, goal: Atom, fuel: Fuel | int = 10_000) -> Evidence:
     reaches 16, 32, 64, ..., so the checks cost amortised O(1) per
     application; terms cache their hashes, so hashing a path costs only its
     newly built terms.
+
+    Replay: a subtree is choice-free when, from the pop of its atom to its
+    closer, no choice point was pushed, no dead end was met and no
+    cohypothesis was withheld (`events` did not move).  Its closer records
+    the atom, per guard class (depth 0, depth >= 1), with its proof and the
+    applications the subtree took.  A later subgoal found in its class's
+    table gets that proof and is charged that count, with the state the
+    skipped search would leave: the checkpoints inside the span are checked
+    on the current path, with the fuel lowered by the applications made up
+    to each, and a count beyond the budget leaves `remaining` at -1, as
+    one-at-a-time `spend` does.  This is exact.  `candidates` depends only
+    on (env, atom, guard class), so a choice-free subtree is a function of
+    those three, and backtracking never re-enters it.  A finite completed
+    subtree holds no path repeat, and no repeat of an atom above it either:
+    its search would then contain itself.  So the skipped checkpoints could
+    only have fired on the path above the subgoal, which is what they check.
     """
     if isinstance(fuel, int):
         fuel = Fuel(fuel)
@@ -412,24 +442,52 @@ def resolve(env: AxiomEnv, goal: Atom, fuel: Fuel | int = 10_000) -> Evidence:
     saw_blocked = False
     applied = 0
     next_check = FIRST_CYCLE_CHECK
+    events = 0  # choice points pushed, dead ends met, cohypotheses withheld
+    solved = {}, {}  # atom -> (proof, applications), at depth 0 and >= 1
 
     while todo is not None:
-        if len(todo) == 5:  # a closer: apply ref to the n newest proofs
-            ref, n, _, _, todo = todo
+        if len(todo) == 7:  # a closer: apply ref to the n newest proofs
+            ref, n, atom, depth, start, seen, todo = todo
             args = []
             for _ in range(n):
                 ev, done = done
                 args.append(ev)
-            done = (mk_eapp(ref, *reversed(args)), done)
+            ev = mk_eapp(ref, *reversed(args))
+            done = (ev, done)
+            if seen == events:
+                solved[depth >= 1][atom] = ev, applied - start
             continue
         atom, depth, todo = todo
+        table = solved[depth >= 1]
+        if table and (hit := table.get(atom)) is not None:
+            ev, left = hit
+            while next_check - applied <= min(left, fuel.remaining):
+                left -= next_check - applied
+                fuel.remaining -= next_check - applied
+                applied, next_check = next_check, 2 * next_check
+                if _path_repeats(todo):
+                    raise FuelExhausted()
+            if left > fuel.remaining:
+                fuel.remaining = -1
+                raise FuelExhausted()
+            fuel.remaining -= left
+            applied += left
+            done = (ev, done)
+            continue
+        # taken before this atom's own events, so a closer resumed by
+        # backtracking below keeps the dead end's older count
+        seen = events
         cands, blocked = candidates(env, atom, depth)
-        saw_blocked = saw_blocked or blocked
+        if blocked:
+            saw_blocked = True
+            events += 1
         i = 0
         if len(cands) > 1:
+            events += 1
             choices.append((cands, 1, atom, depth, todo, done))
         elif not cands:
             # dead end: chronological backtracking
+            events += 1
             if stuck_at is None and not blocked:
                 stuck_at = atom
             if not choices:
@@ -442,22 +500,15 @@ def resolve(env: AxiomEnv, goal: Atom, fuel: Fuel | int = 10_000) -> Evidence:
         entry, sigma = cands[i]
         fuel.spend()
         ref, body = entry.instantiate(sigma)
-        todo = (ref, len(body), atom, depth, todo)
+        todo = (ref, len(body), atom, depth, applied, seen, todo)
         inc = 1 if entry.kind in CLAUSE_KINDS else 0
         for b in reversed(body):
             todo = (b, depth + inc, todo)
         applied += 1
         if applied == next_check:
             next_check *= 2
-            seen = set(), set()  # atoms proved at depth 0, at depth >= 1
-            rest = todo
-            while rest is not None:
-                if len(rest) == 5:
-                    atoms = seen[rest[3] >= 1]
-                    if rest[2] in atoms:
-                        raise FuelExhausted()
-                    atoms.add(rest[2])
-                rest = rest[-1]
+            if _path_repeats(todo):
+                raise FuelExhausted()
     return done[0]
 
 

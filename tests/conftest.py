@@ -7,7 +7,8 @@ import time
 
 import pytest
 
-from cohorn.resolve import AxiomEnv, axiom
+from cohorn.parser import parse_module
+from cohorn.resolve import AxiomEnv, axiom, cohypothesis, hypothesis
 from cohorn.syntax import (
     App,
     Atom,
@@ -285,3 +286,64 @@ def random_loop_goal(rng: random.Random, env: AxiomEnv) -> Atom:
         return Atom(rng.choice(LOOP_PREDS), (random_loop_term(rng, 3),))
     head = rng.choice([e.formula.head for e in env])
     return apply({v: random_loop_term(rng, 2) for v in free_vars(head)}, head)
+
+
+# Programs with shared repeated subgoals: Eq over nested pairs whose
+# components repeat, and Mu-style unfoldings that grow them.  Clauses that
+# overlap these put choice points and dead ends above and inside repeated
+# subtrees; `Loop` puts a path repeat above one.
+SHARING_CLAUSES = (
+    "Eq Int",
+    "Eq Unit",
+    "(Eq x, Eq y) => Eq (x, y)",
+    "Eq (h (Mu h) a) => Eq (Mu h a)",
+    "(Eq a, Eq (f (a, a))) => Eq (HPTree f a)",
+    "(Eq a, Eq (f (f a))) => Eq (Bush f a)",
+    "Eq a => Eq (List a)",
+    "(Eq a, Eq (Loop a)) => Eq (Loop a)",
+    "Eq x => Eq (x, x)",
+    "(Eq x, Q y) => Eq (x, y)",
+    "Eq Unit => Eq Int",
+    "Q Int",
+    "Q (x, y)",
+)
+SHARING_COHYPOTHESES = ("Eq a => Eq (Mu HPTree a)", "Eq x => Eq (List x)", "Eq (x, x)")
+
+
+def random_sharing_env(rng: random.Random) -> AxiomEnv:
+    """The first three `SHARING_CLAUSES`, most of the next five and about
+    half of the rest, in a random order, named K0, K1, ... from oldest to
+    newest."""
+    chosen = list(SHARING_CLAUSES[:3])
+    chosen += [c for c in SHARING_CLAUSES[3:8] if rng.random() < 0.85]
+    chosen += [c for c in SHARING_CLAUSES[8:] if rng.random() < 0.5]
+    rng.shuffle(chosen)
+    decls = parse_module("module g where\n" + "\n".join(f"axiom {c}" for c in chosen)).decls
+    return AxiomEnv([axiom(f"K{i}", d.formula) for i, d in enumerate(decls)])
+
+
+def random_sharing_term(rng: random.Random, size: int) -> Term:
+    """A ground term built in `size` steps, each a pair of two earlier
+    terms (recent ones likelier, often the same one twice) or one of them
+    under List, Loop or a Mu unfolding."""
+    pool: list[Term] = [Int, Unit]
+    for _ in range(size):
+        pick = lambda: pool[-1 - min(int(rng.expovariate(0.7)), len(pool) - 1)]
+        roll = rng.random()
+        if roll < 0.6:
+            t = pick()
+            pool.append(pair(t, t if rng.random() < 0.6 else pick()))
+        elif roll < 0.75:
+            pool.append(App(Const(rng.choice(["List", "Loop"])), pick()))
+        else:
+            pool.append(mk_app(Mu, Const(rng.choice(["HPTree", "Bush"])), pick()))
+    return pool[-1]
+
+
+def random_sharing_corec(rng: random.Random, env: AxiomEnv) -> AxiomEnv:
+    """`env` with one of `SHARING_COHYPOTHESES` and two hypotheses in scope."""
+    (co,) = parse_module(f"module c where\naxiom {rng.choice(SHARING_COHYPOTHESES)}").decls
+    hyps = [Atom("Eq", (random_sharing_term(rng, rng.randint(0, 3)),)) for _ in range(2)]
+    return env.extended(
+        cohypothesis("r", co.formula), hypothesis("b0", hyps[0]), hypothesis("b1", hyps[1])
+    )

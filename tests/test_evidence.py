@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 
 import pytest
@@ -16,7 +17,7 @@ from cohorn.evidence import (
     type_check,
     whnf,
 )
-from cohorn.resolve import FuelExhausted
+from cohorn.resolve import AxiomEnv, FuelExhausted, axiom
 from cohorn.syntax import (
     App,
     Atom,
@@ -32,6 +33,7 @@ from cohorn.syntax import (
     Var,
     fact,
     mk_app,
+    match,
     mk_eapp,
     pair,
     subst_evidence,
@@ -222,6 +224,43 @@ def test_detect_simple_loop_absent_without_looping(phi_q):
     # divergence that never revisits an instance of the goal
     goal = Atom("Q", (App(Const("S"), Const("Z")),))
     assert detect_simple_loop(phi_q, goal, fuel=300) is None
+
+
+def test_simple_loop_search_matches_a_ground_goal_only_against_itself(monkeypatch):
+    # E (S^n Z) steps down to E Z and back to itself: every state between
+    # has one reducible atom, which a ground goal rejects on its hash
+    evidence_module = importlib.import_module("cohorn.evidence")
+    calls = [0]
+
+    def counted(pattern, subject):
+        calls[0] += 1
+        return match(pattern, subject)
+
+    monkeypatch.setattr(evidence_module, "match", counted)
+    S, Z, y = Const("S"), Const("Z"), Var("y")
+    e = lambda t: Atom("E", (t,))
+    n = 500
+    deep = Z
+    for _ in range(n):
+        deep = App(S, deep)
+    env = AxiomEnv(
+        [
+            axiom("KS", HornFormula((e(x),), e(App(S, x)))),
+            axiom("KZ", HornFormula((e(deep),), e(Z))),
+        ]
+    )
+    loop = detect_simple_loop(env, e(deep))
+    assert (loop.sigma, loop.hypotheses, calls[0]) == ({}, (), 1)
+    calls[0] = 0
+    assert [r.index for r in observational_points(loop, 3)] == [1, 2, 3]
+    assert calls[0] == 3  # one per point; the other 3n states fail on the hash
+    # a goal with variables is matched against the redex of every state
+    open_goal = y
+    for _ in range(n):
+        open_goal = App(S, open_goal)
+    calls[0] = 0
+    assert detect_simple_loop(env, e(open_goal)) is None
+    assert calls[0] == n - 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import importlib
+import json
+import pathlib
 import pickle
 import random
+import re
 import sys
 import threading
 import time
@@ -12,7 +15,9 @@ from typing import Optional
 
 import pytest
 
+from cohorn import cli
 from cohorn.evidence import type_check
+from cohorn.parser import parse_atom, parse_module
 from cohorn.resolve import (
     AxiomEnv,
     EntryKind,
@@ -51,6 +56,9 @@ from cohorn.syntax import (
     mk_app,
     mk_eapp,
     pair,
+    render_atom,
+    render_evidence,
+    render_horn,
     unifiable,
 )
 from conftest import (
@@ -62,6 +70,9 @@ from conftest import (
     random_loop_clause,
     random_loop_goal,
     random_looping_env,
+    random_sharing_corec,
+    random_sharing_env,
+    random_sharing_term,
     random_terminating_case,
 )
 
@@ -874,28 +885,105 @@ def snapshot_resolve(
             raise Stuck(stuck_at if stuck_at is not None else goal)
 
 
-def test_resolve_agrees_with_the_snapshotting_resolve():
+# The snapshotting resolve's answers on 2,048 generated runs, with the
+# programs and goals they ran on, are recorded in SNAPSHOT_RECORD: 64
+# programs, 80% overlapping, each with four goals, run under plain and
+# corecursive clause order at budgets 40, 150, 400 and 1500.
+
+SNAPSHOT_RECORD = pathlib.Path(__file__).parent / "snapshot_resolve.json"
+BUDGETS = (40, 150, 400, 1500)
+
+
+def answer(run):
+    """What a run returned or raised, rendered: ("evidence", the proof),
+    (the exception's name, its goal) or ("FuelExhausted", None)."""
+    kind, detail = outcome(run)
+    if kind == "evidence":
+        return kind, render_evidence(detail)
+    return kind, None if detail is None else render_atom(detail)
+
+
+def load_program(program):
+    """(plain environment, corecursive environment, goals) of a record."""
+    module = "module m where\n" + "".join(f"axiom {c}\n" for c in program["axioms"])
+    env = AxiomEnv(
+        [axiom(f"K{i}", d.formula) for i, d in enumerate(parse_module(module).decls)]
+    )
+    (co,) = parse_module(f"module c where\naxiom {program['cohypothesis']}").decls
+    b0, b1 = map(parse_atom, program["hypotheses"])
+    work = env.extended(
+        cohypothesis("r", co.formula), hypothesis("b0", b0), hypothesis("b1", b1)
+    )
+    return env, work, [parse_atom(g) for g in program["goals"]]
+
+
+def snapshot_programs():
+    """The 64 generated (env, work, goals) the record was taken on."""
     rng = random.Random(17)
-    seen = {"evidence": 0, "Stuck": 0, "GuardViolation": 0, "FuelExhausted": 0}
-    runs = 0
     for k in range(64):
         env = random_looping_env(rng, overlapping=k % 5 != 0)
         work = corec_setting(rng, env)
-        for _ in range(4):
-            goal = random_loop_goal(rng, env)
-            for e, policy in ((env, NEWEST_FIRST), (work, CorecPolicy())):
-                for budget in (40, 150, 400, 1500):
-                    old_fuel, new_fuel = Fuel(budget), Fuel(budget)
-                    expected = outcome(
-                        lambda: snapshot_resolve(e, goal, old_fuel, policy)
-                    )
-                    got = outcome(lambda: resolve(e, goal, new_fuel))
-                    assert (got, new_fuel.remaining) == (
-                        expected,
-                        old_fuel.remaining,
-                    ), (e, goal, policy, budget)
-                    seen[got[0]] += 1
-                    runs += 1
+        yield env, work, [random_loop_goal(rng, env) for _ in range(4)]
+
+
+def snapshot_answers(env, work, goals):
+    """[goal index, clause order, budget, kind, detail, remaining] of every
+    run of `snapshot_resolve`."""
+    runs = []
+    for g, goal in enumerate(goals):
+        for e, policy, name in ((env, NEWEST_FIRST, "plain"), (work, CorecPolicy(), "corec")):
+            for budget in BUDGETS:
+                fuel = Fuel(budget)
+                kind, detail = answer(lambda: snapshot_resolve(e, goal, fuel, policy))
+                runs.append([g, name, budget, kind, detail, fuel.remaining])
+    return runs
+
+
+def record_snapshots():
+    programs = []
+    for env, work, goals in snapshot_programs():
+        programs.append(
+            {
+                "axioms": [render_horn(e.formula) for e in env.entries],
+                "cohypothesis": render_horn(work.lookup("r").formula),
+                "hypotheses": [render_atom(work.lookup(b).formula.head) for b in ("b0", "b1")],
+                "goals": [render_atom(g) for g in goals],
+                "runs": snapshot_answers(env, work, goals),
+            }
+        )
+    text = json.dumps({"programs": programs}, indent=1)
+    # one line per run, goal list and clause list
+    text = re.sub(r"\[[^][{}]*\]", lambda m: re.sub(r"\n *", "", m[0]), text)
+    SNAPSHOT_RECORD.write_text(text + "\n", encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def snapshot_record():
+    return json.loads(SNAPSHOT_RECORD.read_text(encoding="utf-8"))
+
+
+def test_snapshot_record_holds_the_snapshotting_resolves_live_answers(snapshot_record):
+    programs = snapshot_record["programs"]
+    assert len(programs) == 64
+    for (env, work, goals), program in zip(snapshot_programs(), programs):
+        loaded, loaded_work, loaded_goals = load_program(program)
+        assert (loaded.entries, loaded_work.entries) == (env.entries, work.entries)
+        assert loaded_goals == goals
+        assert snapshot_answers(env, work, goals) == program["runs"]
+
+
+def test_resolve_agrees_with_the_snapshotting_resolve(snapshot_record):
+    seen = {"evidence": 0, "Stuck": 0, "GuardViolation": 0, "FuelExhausted": 0}
+    runs = 0
+    for program in snapshot_record["programs"]:
+        env, work, goals = load_program(program)
+        for g, order, budget, kind, detail, remaining in program["runs"]:
+            e = env if order == "plain" else work
+            fuel = Fuel(budget)
+            got = answer(lambda: resolve(e, goals[g], fuel))
+            assert (got, fuel.remaining) == ((kind, detail), remaining), (e, goals[g], budget)
+            seen[kind] += 1
+            runs += 1
     assert runs >= 2000
     assert min(seen.values()) >= 20, seen
 
@@ -932,6 +1020,223 @@ def test_resolve_cost_is_linear_in_choice_points():
 
 
 # ---------------------------------------------------------------------------
+# resolve with replay of solved subgoals agrees with the resolve that searched
+# every subgoal again, down to the evidence and the fuel it leaves.  That
+# resolve is kept below verbatim, renamed.
+
+FIRST_CYCLE_CHECK = resolve_module.FIRST_CYCLE_CHECK
+
+
+def unreplayed_resolve(env: AxiomEnv, goal: Atom, fuel: Fuel | int = 10_000) -> Evidence:
+    """Prove an atomic goal by term-matching resolution, corecursively when
+    `env` holds hypotheses or a coinductive hypothesis.
+
+    Clause choice follows `candidates` with chronological backtracking, one
+    fuel unit per clause application.  Raises FuelExhausted when the budget
+    runs out, Stuck when every alternative fails, and GuardViolation when
+    failure is due only to the guardedness restriction.
+
+    The search state is immutable, so a choice point stores it in O(1):
+    `todo` links pending work, leftmost first: subgoals (atom, depth, rest)
+    and closers (ref, n, atom, depth, rest).  A closer follows the n body
+    subgoals of the clause application that proved atom at guard depth
+    `depth` and applies ref to their n proofs; `done` links the proofs found
+    so far, newest first.  A choice point is (candidates, next index, atom,
+    depth, todo, done).
+
+    Cycle rule: FuelExhausted is also raised as soon as the current
+    derivation path, the closers in `todo`, proves one atom twice at guard
+    depths that are equal or both >= 1, since `candidates` offers the same
+    pairs at such depths.  Subgoals share no variables, so the search
+    below the repeat replays the search below its first occurrence: it
+    meets the atom again, and the continuation that rejected the first
+    occurrence's solutions rejects the repeat's.  No answer or failure can
+    follow, and with any finite budget the run would end in FuelExhausted
+    anyway.  The path is checked when the count of clause applications
+    reaches 16, 32, 64, ..., so the checks cost amortised O(1) per
+    application; terms cache their hashes, so hashing a path costs only its
+    newly built terms.
+    """
+    if isinstance(fuel, int):
+        fuel = Fuel(fuel)
+    todo = (goal, 0, None)
+    done = None
+    choices: list[tuple] = []
+    stuck_at: Optional[Atom] = None
+    saw_blocked = False
+    applied = 0
+    next_check = FIRST_CYCLE_CHECK
+
+    while todo is not None:
+        if len(todo) == 5:  # a closer: apply ref to the n newest proofs
+            ref, n, _, _, todo = todo
+            args = []
+            for _ in range(n):
+                ev, done = done
+                args.append(ev)
+            done = (mk_eapp(ref, *reversed(args)), done)
+            continue
+        atom, depth, todo = todo
+        cands, blocked = candidates(env, atom, depth)
+        saw_blocked = saw_blocked or blocked
+        i = 0
+        if len(cands) > 1:
+            choices.append((cands, 1, atom, depth, todo, done))
+        elif not cands:
+            # dead end: chronological backtracking
+            if stuck_at is None and not blocked:
+                stuck_at = atom
+            if not choices:
+                if saw_blocked and stuck_at is None:
+                    raise GuardViolation(goal)
+                raise Stuck(stuck_at if stuck_at is not None else goal)
+            cands, i, atom, depth, todo, done = choices.pop()
+            if i + 1 < len(cands):
+                choices.append((cands, i + 1, atom, depth, todo, done))
+        entry, sigma = cands[i]
+        fuel.spend()
+        ref, body = entry.instantiate(sigma)
+        todo = (ref, len(body), atom, depth, todo)
+        inc = 1 if entry.kind in CLAUSE_KINDS else 0
+        for b in reversed(body):
+            todo = (b, depth + inc, todo)
+        applied += 1
+        if applied == next_check:
+            next_check *= 2
+            seen = set(), set()  # atoms proved at depth 0, at depth >= 1
+            rest = todo
+            while rest is not None:
+                if len(rest) == 5:
+                    atoms = seen[rest[3] >= 1]
+                    if rest[2] in atoms:
+                        raise FuelExhausted()
+                    atoms.add(rest[2])
+                rest = rest[-1]
+    return done[0]
+
+
+class Meter(Fuel):
+    """Fuel that notes `remaining` after each `spend` that did not raise, so
+    a run can tell fuel lowered by a replay from fuel spent one unit at a
+    time."""
+
+    def __init__(self, remaining):
+        super().__init__(remaining)
+        self.spent_to = remaining
+        self.spend_raised = False
+
+    def spend(self, n=1):
+        self.spend_raised = True
+        super().spend(n)
+        self.spend_raised = False
+        self.spent_to = self.remaining
+
+
+def compare_with_unreplayed(runs, monkeypatch):
+    """Run resolve and unreplayed_resolve on each (env, goal, budget) and
+    assert equal (outcome, evidence, remaining).  Returns counts of the
+    replay cases met: runs with fewer `AxiomEnv.matching` calls than the
+    reference, runs whose fuel ran out inside a replayed span, and
+    checkpoints inside a replayed span with and without a path repeat."""
+    counts = Counter()
+    calls = [0]
+    matching = AxiomEnv.matching
+    path_repeats = resolve_module._path_repeats
+    meter = None
+
+    def counted_matching(env, goal):
+        calls[0] += 1
+        return matching(env, goal)
+
+    def counted_path_repeats(todo):
+        found = path_repeats(todo)
+        if meter.remaining != meter.spent_to:  # lowered by a replay
+            counts["checkpoint in replay, repeat" if found else "checkpoint in replay"] += 1
+        return found
+
+    monkeypatch.setattr(AxiomEnv, "matching", counted_matching)
+    monkeypatch.setattr(resolve_module, "_path_repeats", counted_path_repeats)
+    for e, goal, budget in runs:
+        old_fuel, meter = Fuel(budget), Meter(budget)
+        calls[0] = 0
+        expected = outcome(lambda: unreplayed_resolve(e, goal, old_fuel))
+        old_calls, calls[0] = calls[0], 0
+        got = outcome(lambda: resolve(e, goal, meter))
+        assert (got, meter.remaining) == (expected, old_fuel.remaining), (e, goal, budget)
+        assert calls[0] <= old_calls
+        counts["fewer matching calls"] += calls[0] < old_calls
+        counts["exhausted in replay"] += (
+            got[0] == "FuelExhausted" and meter.remaining == -1 and not meter.spend_raised
+        )
+        counts[got[0]] += 1
+    return counts
+
+
+def test_resolve_agrees_with_the_unreplayed_resolve(monkeypatch):
+    # the generator of the snapshot fixture below, against the live reference
+    rng = random.Random(17)
+    runs = []
+    for k in range(64):
+        env = random_looping_env(rng, overlapping=k % 5 != 0)
+        work = corec_setting(rng, env)
+        for _ in range(4):
+            goal = random_loop_goal(rng, env)
+            for e in (env, work):
+                runs += [(e, goal, budget) for budget in (40, 150, 400, 1500)]
+    counts = compare_with_unreplayed(runs, monkeypatch)
+    assert len(runs) >= 2000
+    assert min(counts[k] for k in ("evidence", "Stuck", "GuardViolation", "FuelExhausted")) >= 20, counts
+
+
+def test_resolve_replays_shared_subgoals_exactly_at_every_budget(monkeypatch):
+    # every budget from 1 to 300 puts the end of the fuel and the checkpoints
+    # at 16, 32, ..., 256 at every offset into the replayed spans
+    rng = random.Random(1511)
+    runs = []
+    for _ in range(12):
+        env = random_sharing_env(rng)
+        work = random_sharing_corec(rng, env)
+        for _ in range(2):
+            goal = Atom("Eq", (random_sharing_term(rng, rng.randint(3, 8)),))
+            for e in (env, work):
+                runs += [(e, goal, budget) for budget in range(1, 301)]
+    counts = compare_with_unreplayed(runs, monkeypatch)
+    # every outcome, and replays that skip searches, run the fuel out and
+    # cross checkpoints that do and do not find a repeat on the path above
+    assert min(counts[k] for k in ("evidence", "Stuck", "FuelExhausted")) >= 500, counts
+    assert counts["fewer matching calls"] >= 2000, counts
+    assert counts["exhausted in replay"] >= 50, counts
+    assert counts["checkpoint in replay, repeat"] >= 100, counts
+    assert counts["checkpoint in replay"] >= 100, counts
+
+
+def test_replay_makes_the_hptree_burn_linear(phi_hptree, corpus, monkeypatch, capsys):
+    # level k of Eq (Mu HPTree Int) proves Eq of k nested pairs, 2^(k+1) - 1
+    # applications searched once and then replayed: 100x the fuel reaches
+    # only about 7 more levels
+    goal = eq(mk_app(Const("Mu"), Const("HPTree"), Int))
+    calls = Counter()
+    matching = AxiomEnv.matching
+
+    def counted(env, atom):
+        calls[budget] += 1
+        return matching(env, atom)
+
+    monkeypatch.setattr(AxiomEnv, "matching", counted)
+    for budget in (10_000, 1_000_000):
+        fuel = Fuel(budget)
+        with pytest.raises(FuelExhausted):
+            resolve(phi_hptree, goal, fuel)
+        assert fuel.remaining == -1
+    assert calls[1_000_000] < 2 * calls[10_000], calls
+    outputs = []
+    for fuel_args in ([], ["--fuel", "1000000"]):
+        assert cli.main(["check", str(corpus / "hptree.asl"), *fuel_args]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+
+
+# ---------------------------------------------------------------------------
 # evidence soundness: what resolve returns type-checks
 
 
@@ -951,3 +1256,7 @@ def test_resolve_evidence_type_checks_where_it_was_found():
                 assert type_check(e, ev, fact(goal)) == (True, []), (e, goal, ev)
                 checked += 1
     assert checked >= 100, checked
+
+
+if __name__ == "__main__":
+    record_snapshots()
