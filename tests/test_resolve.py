@@ -5,12 +5,10 @@ import json
 import pathlib
 import pickle
 import random
-import re
 import sys
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Optional
 
 import pytest
@@ -58,7 +56,6 @@ from cohorn.syntax import (
     pair,
     render_atom,
     render_evidence,
-    render_horn,
     unifiable,
 )
 from conftest import (
@@ -299,7 +296,7 @@ CLAUSE_KINDS = (EntryKind.AXIOM, EntryKind.LEMMA)
 
 
 # The two clause-selection policies that `candidates` replaced, kept as the
-# reference clause order of `reference_resolve` and `snapshot_resolve`.
+# reference clause order of `reference_resolve`.
 # They are verbatim but for `env.clauses_for(goal)`, now the function below,
 # the removed `AxiomEnv.clauses_for` with `self` renamed `env`.
 
@@ -763,135 +760,15 @@ def test_cycle_rule_agrees_with_the_full_fuel_burn():
 
 
 # ---------------------------------------------------------------------------
-# resolve over an immutable search state agrees with the resolve that copied
-# the whole stack at every choice point, down to the fuel it leaves.  That
-# resolve is kept below verbatim, renamed; its annotations, which name the
-# base class `ClausePolicy` it was written against, are never evaluated.
-
-
-@dataclass
-class _Frame:
-    ref: Optional[Evidence]  # None marks the root frame
-    pending: list[tuple[Atom, int]]  # (subgoal, guard depth), leftmost first
-    done: list[Evidence] = field(default_factory=list)
-    goal: Optional[tuple[Atom, int]] = None  # what the frame proves, at what depth
-
-    def snapshot(self) -> "_Frame":
-        return _Frame(self.ref, list(self.pending), list(self.done), self.goal)
-
-
-FIRST_CYCLE_CHECK = 16
-
-
-def _path_repeats(stack: list[_Frame]) -> bool:
-    """True when two frames on the derivation path prove the same atom at
-    guard depths that select the same candidates: equal, or both >= 1."""
-    seen = set()
-    for frame in stack[1:]:
-        atom, depth = frame.goal
-        key = (atom, min(depth, 1))
-        if key in seen:
-            return True
-        seen.add(key)
-    return False
-
-
-def snapshot_resolve(
-    env: AxiomEnv,
-    goal: Atom,
-    fuel: Fuel | int = 10_000,
-    policy: ClausePolicy = NEWEST_FIRST,
-    guard_depth: int = 0,
-) -> Evidence:
-    """Prove an atomic goal by term-matching resolution.
-
-    Clause choice follows `policy` with chronological backtracking, one
-    fuel unit per clause application.  Raises FuelExhausted when the budget
-    runs out, Stuck when every alternative fails, and GuardViolation when
-    failure is due only to the guardedness restriction.
-
-    Cycle rule: FuelExhausted is also raised as soon as the current
-    derivation path proves one atom twice at guard depths that are equal or
-    both >= 1, since the policies offer the same candidates at such depths.
-    Subgoals share no variables, so the search below the repeat replays the
-    search below its first occurrence: it meets the atom again, and the
-    continuation that rejected the first occurrence's solutions rejects the
-    repeat's.  No answer or failure can follow, and with any finite budget
-    the run would end in FuelExhausted anyway.  The path is checked when the
-    count of clause applications reaches 16, 32, 64, ..., so the checks cost
-    amortised O(1) per application; terms cache their hashes, so hashing a
-    path costs only its newly built terms.  The rule assumes a policy whose
-    candidates depend on the guard depth only through `depth >= 1`, as
-    `NewestFirst` and `CorecPolicy` do.
-    """
-    if isinstance(fuel, int):
-        fuel = Fuel(fuel)
-    stack: list[_Frame] = [_Frame(None, [(goal, guard_depth)])]
-    # each choice point: remaining candidates plus a copy of the whole stack
-    choices: list[tuple[list, int, list[_Frame]]] = []
-    stuck_at: Optional[Atom] = None
-    saw_blocked = False
-    applied = 0
-    next_check = FIRST_CYCLE_CHECK
-
-    def enter(atom: Atom, depth: int, entry: Entry, sigma):
-        nonlocal applied, next_check
-        fuel.spend()
-        inc = 1 if entry.kind in CLAUSE_KINDS else 0
-        pending = [(apply(sigma, b), depth + inc) for b in entry.formula.body]
-        stack.append(_Frame(entry.ref(), pending, goal=(atom, depth)))
-        applied += 1
-        if applied == next_check:
-            next_check *= 2
-            if _path_repeats(stack):
-                raise FuelExhausted()
-
-    while True:
-        top = stack[-1]
-        if not top.pending:
-            stack.pop()
-            ev = top.done[0] if top.ref is None else mk_eapp(top.ref, *top.done)
-            if not stack:
-                return ev
-            stack[-1].done.append(ev)
-            continue
-        atom, depth = top.pending.pop(0)
-        cands, blocked = policy.candidates(env, atom, depth)
-        saw_blocked = saw_blocked or blocked
-        if cands:
-            if len(cands) > 1:
-                snap = [f.snapshot() for f in stack]
-                snap[-1].pending.insert(0, (atom, depth))
-                choices.append((cands, 1, snap))
-            entry, sigma = cands[0]
-            enter(atom, depth, entry, sigma)
-            continue
-        # dead end: chronological backtracking
-        if stuck_at is None and not blocked:
-            stuck_at = atom
-        while choices:
-            cands, i, snap = choices.pop()
-            if i < len(cands):
-                stack = [f.snapshot() for f in snap]
-                if i + 1 < len(cands):
-                    choices.append((cands, i + 1, snap))
-                atom, depth = stack[-1].pending.pop(0)
-                entry, sigma = cands[i]
-                enter(atom, depth, entry, sigma)
-                break
-        else:
-            if saw_blocked and stuck_at is None:
-                raise GuardViolation(goal)
-            raise Stuck(stuck_at if stuck_at is not None else goal)
-
-
-# The snapshotting resolve's answers on 2,048 generated runs, with the
-# programs and goals they ran on, are recorded in SNAPSHOT_RECORD: 64
-# programs, 80% overlapping, each with four goals, run under plain and
-# corecursive clause order at budgets 40, 150, 400 and 1500.
+# resolve agrees with the resolve that copied the whole stack at every choice
+# point, down to the fuel it leaves.  That resolve's answers on 2,048
+# generated runs, with the programs and goals they ran on, are recorded in
+# SNAPSHOT_RECORD: 64 programs, 80% overlapping, each with four goals, run
+# under plain and corecursive clause order at budgets 40, 150, 400 and 1500.
+# The resolve itself, the recorder and a test that the record equals its
+# live answers are in this file's history.
 
 SNAPSHOT_RECORD = pathlib.Path(__file__).parent / "snapshot_resolve.json"
-BUDGETS = (40, 150, 400, 1500)
 
 
 def answer(run):
@@ -917,59 +794,9 @@ def load_program(program):
     return env, work, [parse_atom(g) for g in program["goals"]]
 
 
-def snapshot_programs():
-    """The 64 generated (env, work, goals) the record was taken on."""
-    rng = random.Random(17)
-    for k in range(64):
-        env = random_looping_env(rng, overlapping=k % 5 != 0)
-        work = corec_setting(rng, env)
-        yield env, work, [random_loop_goal(rng, env) for _ in range(4)]
-
-
-def snapshot_answers(env, work, goals):
-    """[goal index, clause order, budget, kind, detail, remaining] of every
-    run of `snapshot_resolve`."""
-    runs = []
-    for g, goal in enumerate(goals):
-        for e, policy, name in ((env, NEWEST_FIRST, "plain"), (work, CorecPolicy(), "corec")):
-            for budget in BUDGETS:
-                fuel = Fuel(budget)
-                kind, detail = answer(lambda: snapshot_resolve(e, goal, fuel, policy))
-                runs.append([g, name, budget, kind, detail, fuel.remaining])
-    return runs
-
-
-def record_snapshots():
-    programs = []
-    for env, work, goals in snapshot_programs():
-        programs.append(
-            {
-                "axioms": [render_horn(e.formula) for e in env.entries],
-                "cohypothesis": render_horn(work.lookup("r").formula),
-                "hypotheses": [render_atom(work.lookup(b).formula.head) for b in ("b0", "b1")],
-                "goals": [render_atom(g) for g in goals],
-                "runs": snapshot_answers(env, work, goals),
-            }
-        )
-    text = json.dumps({"programs": programs}, indent=1)
-    # one line per run, goal list and clause list
-    text = re.sub(r"\[[^][{}]*\]", lambda m: re.sub(r"\n *", "", m[0]), text)
-    SNAPSHOT_RECORD.write_text(text + "\n", encoding="utf-8")
-
-
 @pytest.fixture(scope="module")
 def snapshot_record():
     return json.loads(SNAPSHOT_RECORD.read_text(encoding="utf-8"))
-
-
-def test_snapshot_record_holds_the_snapshotting_resolves_live_answers(snapshot_record):
-    programs = snapshot_record["programs"]
-    assert len(programs) == 64
-    for (env, work, goals), program in zip(snapshot_programs(), programs):
-        loaded, loaded_work, loaded_goals = load_program(program)
-        assert (loaded.entries, loaded_work.entries) == (env.entries, work.entries)
-        assert loaded_goals == goals
-        assert snapshot_answers(env, work, goals) == program["runs"]
 
 
 def test_resolve_agrees_with_the_snapshotting_resolve(snapshot_record):
@@ -1173,7 +1000,7 @@ def compare_with_unreplayed(runs, monkeypatch):
 
 
 def test_resolve_agrees_with_the_unreplayed_resolve(monkeypatch):
-    # the generator of the snapshot fixture below, against the live reference
+    # the programs, goals and budgets of SNAPSHOT_RECORD, against the live reference
     rng = random.Random(17)
     runs = []
     for k in range(64):
@@ -1257,6 +1084,3 @@ def test_resolve_evidence_type_checks_where_it_was_found():
                 checked += 1
     assert checked >= 100, checked
 
-
-if __name__ == "__main__":
-    record_snapshots()
