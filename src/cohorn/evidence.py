@@ -250,13 +250,11 @@ def iterate_context(ctx: Mixed, d: Atom, m: int) -> Mixed:
 
 
 def _instance_of(goal: Atom):
-    """atom -> match(goal, atom).  A ground goal matches only itself, so
-    an atom whose cached hash differs is rejected in O(1), not by walking
-    both terms; a goal with variables always goes to `match`."""
-    if free_vars(goal):
-        return lambda atom: match(goal, atom)
-    h = hash(goal)
-    return lambda atom: None if hash(atom) != h else match(goal, atom)
+    """atom -> match(goal, atom).  A ground goal matches only itself, so an
+    atom with another cached hash is rejected in O(1), not by walking both
+    terms; a goal with variables always goes to `match`."""
+    h = None if free_vars(goal) else hash(goal)
+    return lambda atom: None if h is not None and hash(atom) != h else match(goal, atom)
 
 
 def detect_simple_loop(

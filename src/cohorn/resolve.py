@@ -417,21 +417,19 @@ def resolve(env: AxiomEnv, goal: Atom, fuel: Fuel | int = 10_000) -> Evidence:
     application; terms cache their hashes, so hashing a path costs only its
     newly built terms.
 
-    Replay: a subtree is choice-free when, from the pop of its atom to its
-    closer, no choice point was pushed, no dead end was met and no
-    cohypothesis was withheld (`events` did not move).  Its closer records
-    the atom, per guard class (depth 0, depth >= 1), with its proof and the
-    applications the subtree took.  A later subgoal found in its class's
-    table gets that proof and is charged that count, with the state the
-    skipped search would leave: the checkpoints inside the span are checked
-    on the current path, with the fuel lowered by the applications made up
-    to each, and a count beyond the budget leaves `remaining` at -1, as
-    one-at-a-time `spend` does.  This is exact.  `candidates` depends only
-    on (env, atom, guard class), so a choice-free subtree is a function of
-    those three, and backtracking never re-enters it.  A finite completed
-    subtree holds no path repeat, and no repeat of an atom above it either:
-    its search would then contain itself.  So the skipped checkpoints could
-    only have fired on the path above the subgoal, which is what they check.
+    Replay: a closer records its atom, per guard class, with its proof and
+    the applications its subtree took, when the subtree was choice-free:
+    `events` (choice points, dead ends, withheld cohypotheses) did not move
+    since the atom was popped.  A later equal subgoal gets that proof and
+    is charged that count, leaving the state the skipped search would: each
+    checkpoint inside the span is checked on the current path, with the
+    fuel lowered up to it, and a count beyond the budget leaves `remaining`
+    at -1.  This is exact.  `candidates` depends only on (env, atom, guard
+    class), so a choice-free subtree is a function of those three, and
+    backtracking never re-enters it.  A finite completed subtree holds no
+    path repeat, nor a repeat of an atom above it: its search would then
+    contain itself.  So a skipped checkpoint could only fire on the path
+    above the subgoal, which is what the replay checks.
     """
     if isinstance(fuel, int):
         fuel = Fuel(fuel)
@@ -460,34 +458,28 @@ def resolve(env: AxiomEnv, goal: Atom, fuel: Fuel | int = 10_000) -> Evidence:
         atom, depth, todo = todo
         table = solved[depth >= 1]
         if table and (hit := table.get(atom)) is not None:
-            ev, left = hit
-            while next_check - applied <= min(left, fuel.remaining):
-                left -= next_check - applied
+            ev, end = hit[0], applied + hit[1]
+            while next_check <= min(end, applied + fuel.remaining):
                 fuel.remaining -= next_check - applied
                 applied, next_check = next_check, 2 * next_check
                 if _path_repeats(todo):
                     raise FuelExhausted()
-            if left > fuel.remaining:
-                fuel.remaining = -1
+            # past the budget, stop at -1 as one `spend` at a time does
+            fuel.remaining = max(fuel.remaining - (end - applied), -1)
+            if fuel.remaining < 0:
                 raise FuelExhausted()
-            fuel.remaining -= left
-            applied += left
+            applied = end
             done = (ev, done)
             continue
-        # taken before this atom's own events, so a closer resumed by
-        # backtracking below keeps the dead end's older count
-        seen = events
+        seen = events  # a closer resumed by backtracking keeps an older count
         cands, blocked = candidates(env, atom, depth)
-        if blocked:
-            saw_blocked = True
-            events += 1
+        saw_blocked = saw_blocked or blocked
+        events += blocked or len(cands) != 1
         i = 0
         if len(cands) > 1:
-            events += 1
             choices.append((cands, 1, atom, depth, todo, done))
         elif not cands:
             # dead end: chronological backtracking
-            events += 1
             if stuck_at is None and not blocked:
                 stuck_at = atom
             if not choices:

@@ -59,6 +59,7 @@ from cohorn.syntax import (
     unifiable,
 )
 from conftest import (
+    SHARING_CLAUSES,
     best_time,
     eq,
     random_index_goal,
@@ -1027,6 +1028,16 @@ def test_resolve_replays_shared_subgoals_exactly_at_every_budget(monkeypatch):
             goal = Atom("Eq", (random_sharing_term(rng, rng.randint(3, 8)),))
             for e in (env, work):
                 runs += [(e, goal, budget) for budget in range(1, 301)]
+    # Eq (Loop A) proves A, then meets itself and replays A: the fuel runs
+    # out inside that span before a checkpoint that would see the repeat
+    module = "module m where\n" + "".join(
+        f"axiom {c}\n" for c in (*SHARING_CLAUSES[:3], "(Eq a, Eq (Loop a)) => Eq (Loop a)")
+    )
+    env = AxiomEnv([axiom(f"K{i}", d.formula) for i, d in enumerate(parse_module(module).decls)])
+    nested = Int
+    for _ in range(5):
+        nested = pair(nested, nested)
+        runs += [(env, eq(App(Const("Loop"), nested)), budget) for budget in range(1, 301)]
     counts = compare_with_unreplayed(runs, monkeypatch)
     # every outcome, and replays that skip searches, run the fuel out and
     # cross checkpoints that do and do not find a repeat on the path above
