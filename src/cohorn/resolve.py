@@ -378,7 +378,7 @@ def _path_repeats(todo) -> bool:
     twice at guard depths that are equal or both >= 1."""
     seen = set(), set()  # atoms proved at depth 0, at depth >= 1
     while todo is not None:
-        if len(todo) == 7:
+        if len(todo) == 6:
             atoms = seen[todo[3] >= 1]
             if todo[2] in atoms:
                 return True
@@ -398,7 +398,7 @@ def resolve(env: AxiomEnv, goal: Atom, fuel: Fuel | int = 10_000) -> Evidence:
 
     The search state is immutable, so a choice point stores it in O(1):
     `todo` links pending work, leftmost first: subgoals (atom, depth, rest)
-    and closers (ref, n, atom, depth, applied, events, rest).  A closer
+    and closers (ref, n, atom, depth, applied, rest).  A closer
     follows the n body subgoals of the clause application that proved atom
     at guard depth `depth` and applies ref to their n proofs; `done` links
     the proofs found so far, newest first.  A choice point is (candidates,
@@ -419,8 +419,8 @@ def resolve(env: AxiomEnv, goal: Atom, fuel: Fuel | int = 10_000) -> Evidence:
 
     Replay: a closer records its atom, per guard class, with its proof and
     the applications its subtree took, when the subtree was choice-free:
-    `events` (choice points, dead ends, withheld cohypotheses) did not move
-    since the atom was popped.  A later equal subgoal gets that proof and
+    no choice point, dead end or withheld cohypothesis (`last_event`) came
+    after the atom was popped.  A later equal subgoal gets that proof and
     is charged that count, leaving the state the skipped search would: each
     checkpoint inside the span is checked on the current path, with the
     fuel lowered up to it, and a count beyond the budget leaves `remaining`
@@ -440,19 +440,21 @@ def resolve(env: AxiomEnv, goal: Atom, fuel: Fuel | int = 10_000) -> Evidence:
     saw_blocked = False
     applied = 0
     next_check = FIRST_CYCLE_CHECK
-    events = 0  # choice points pushed, dead ends met, cohypotheses withheld
+    # `applied` when a choice point was last pushed, a dead end met or a
+    # cohypothesis withheld; an application follows each before a new pop
+    last_event = -1
     solved = {}, {}  # atom -> (proof, applications), at depth 0 and >= 1
 
     while todo is not None:
-        if len(todo) == 7:  # a closer: apply ref to the n newest proofs
-            ref, n, atom, depth, start, seen, todo = todo
+        if len(todo) == 6:  # a closer: apply ref to the n newest proofs
+            ref, n, atom, depth, start, todo = todo
             args = []
             for _ in range(n):
                 ev, done = done
                 args.append(ev)
             ev = mk_eapp(ref, *reversed(args))
             done = (ev, done)
-            if seen == events:
+            if last_event < start:
                 solved[depth >= 1][atom] = ev, applied - start
             continue
         atom, depth, todo = todo
@@ -471,10 +473,10 @@ def resolve(env: AxiomEnv, goal: Atom, fuel: Fuel | int = 10_000) -> Evidence:
             applied = end
             done = (ev, done)
             continue
-        seen = events  # a closer resumed by backtracking keeps an older count
         cands, blocked = candidates(env, atom, depth)
         saw_blocked = saw_blocked or blocked
-        events += blocked or len(cands) != 1
+        if blocked or len(cands) != 1:
+            last_event = applied
         i = 0
         if len(cands) > 1:
             choices.append((cands, 1, atom, depth, todo, done))
@@ -492,7 +494,7 @@ def resolve(env: AxiomEnv, goal: Atom, fuel: Fuel | int = 10_000) -> Evidence:
         entry, sigma = cands[i]
         fuel.spend()
         ref, body = entry.instantiate(sigma)
-        todo = (ref, len(body), atom, depth, applied, seen, todo)
+        todo = (ref, len(body), atom, depth, applied, todo)
         inc = 1 if entry.kind in CLAUSE_KINDS else 0
         for b in reversed(body):
             todo = (b, depth + inc, todo)
