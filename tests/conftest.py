@@ -310,6 +310,17 @@ SHARING_CLAUSES = (
 SHARING_COHYPOTHESES = ("Eq a => Eq (Mu HPTree a)", "Eq x => Eq (List x)", "Eq (x, x)")
 
 
+def parse_horn(text: str) -> HornFormula:
+    """One clause of the declaration language, such as `Eq a => Eq (List a)`."""
+    (decl,) = parse_module(f"module m where\naxiom {text}").decls
+    return decl.formula
+
+
+def axioms_env(clauses) -> AxiomEnv:
+    """Axioms K0, K1, ... from clause texts, oldest first."""
+    return AxiomEnv([axiom(f"K{i}", parse_horn(c)) for i, c in enumerate(clauses)])
+
+
 def random_sharing_env(rng: random.Random) -> AxiomEnv:
     """The first three `SHARING_CLAUSES`, most of the next five and about
     half of the rest, in a random order, named K0, K1, ... from oldest to
@@ -318,8 +329,7 @@ def random_sharing_env(rng: random.Random) -> AxiomEnv:
     chosen += [c for c in SHARING_CLAUSES[3:8] if rng.random() < 0.85]
     chosen += [c for c in SHARING_CLAUSES[8:] if rng.random() < 0.5]
     rng.shuffle(chosen)
-    decls = parse_module("module g where\n" + "\n".join(f"axiom {c}" for c in chosen)).decls
-    return AxiomEnv([axiom(f"K{i}", d.formula) for i, d in enumerate(decls)])
+    return axioms_env(chosen)
 
 
 def random_sharing_term(rng: random.Random, size: int) -> Term:
@@ -327,8 +337,8 @@ def random_sharing_term(rng: random.Random, size: int) -> Term:
     terms (recent ones likelier, often the same one twice) or one of them
     under List, Loop or a Mu unfolding."""
     pool: list[Term] = [Int, Unit]
+    pick = lambda: pool[-1 - min(int(rng.expovariate(0.7)), len(pool) - 1)]
     for _ in range(size):
-        pick = lambda: pool[-1 - min(int(rng.expovariate(0.7)), len(pool) - 1)]
         roll = rng.random()
         if roll < 0.6:
             t = pick()
@@ -342,8 +352,8 @@ def random_sharing_term(rng: random.Random, size: int) -> Term:
 
 def random_sharing_corec(rng: random.Random, env: AxiomEnv) -> AxiomEnv:
     """`env` with one of `SHARING_COHYPOTHESES` and two hypotheses in scope."""
-    (co,) = parse_module(f"module c where\naxiom {rng.choice(SHARING_COHYPOTHESES)}").decls
+    co = parse_horn(rng.choice(SHARING_COHYPOTHESES))
     hyps = [Atom("Eq", (random_sharing_term(rng, rng.randint(0, 3)),)) for _ in range(2)]
     return env.extended(
-        cohypothesis("r", co.formula), hypothesis("b0", hyps[0]), hypothesis("b1", hyps[1])
+        cohypothesis("r", co), hypothesis("b0", hyps[0]), hypothesis("b1", hyps[1])
     )

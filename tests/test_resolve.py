@@ -15,7 +15,7 @@ import pytest
 
 from cohorn import cli
 from cohorn.evidence import type_check
-from cohorn.parser import parse_atom, parse_module
+from cohorn.parser import parse_atom
 from cohorn.resolve import (
     AxiomEnv,
     EntryKind,
@@ -60,8 +60,10 @@ from cohorn.syntax import (
 )
 from conftest import (
     SHARING_CLAUSES,
+    axioms_env,
     best_time,
     eq,
+    parse_horn,
     random_index_goal,
     random_index_head,
     random_loop_body,
@@ -783,14 +785,12 @@ def answer(run):
 
 def load_program(program):
     """(plain environment, corecursive environment, goals) of a record."""
-    module = "module m where\n" + "".join(f"axiom {c}\n" for c in program["axioms"])
-    env = AxiomEnv(
-        [axiom(f"K{i}", d.formula) for i, d in enumerate(parse_module(module).decls)]
-    )
-    (co,) = parse_module(f"module c where\naxiom {program['cohypothesis']}").decls
+    env = axioms_env(program["axioms"])
     b0, b1 = map(parse_atom, program["hypotheses"])
     work = env.extended(
-        cohypothesis("r", co.formula), hypothesis("b0", b0), hypothesis("b1", b1)
+        cohypothesis("r", parse_horn(program["cohypothesis"])),
+        hypothesis("b0", b0),
+        hypothesis("b1", b1),
     )
     return env, work, [parse_atom(g) for g in program["goals"]]
 
@@ -1030,10 +1030,7 @@ def test_resolve_replays_shared_subgoals_exactly_at_every_budget(monkeypatch):
                 runs += [(e, goal, budget) for budget in range(1, 301)]
     # Eq (Loop A) proves A, then meets itself and replays A: the fuel runs
     # out inside that span before a checkpoint that would see the repeat
-    module = "module m where\n" + "".join(
-        f"axiom {c}\n" for c in (*SHARING_CLAUSES[:3], "(Eq a, Eq (Loop a)) => Eq (Loop a)")
-    )
-    env = AxiomEnv([axiom(f"K{i}", d.formula) for i, d in enumerate(parse_module(module).decls)])
+    env = axioms_env((*SHARING_CLAUSES[:3], "(Eq a, Eq (Loop a)) => Eq (Loop a)"))
     nested = Int
     for _ in range(5):
         nested = pair(nested, nested)
