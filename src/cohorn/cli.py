@@ -36,6 +36,7 @@ from .evidence import (
 from .parser import Decl, ParseError, ScopeError, SourceModule, parse_atom, parse_module
 from .resolve import (
     AxiomEnv,
+    EntryKind,
     FuelExhausted,
     GuardViolation,
     NodeStatus,
@@ -51,7 +52,6 @@ from .syntax import (
     Atom,
     EAxiom,
     EMu,
-    Evidence,
     HornFormula,
     free_vars,
     match,
@@ -76,14 +76,6 @@ class RunConfig(ProofConfig):
         super().__post_init__()
         if self.obs_check is not None and self.obs_check < 1:
             raise ValueError("obs check count must be positive")
-
-
-@dataclass
-class Definition:
-    name: str
-    formula: HornFormula
-    shown: str  # evidence with the fixed point rendered as named recursion
-    kind: str  # "axiom" | "lemma"
 
 
 @dataclass
@@ -113,7 +105,6 @@ class Session:
     module: SourceModule
     cfg: ProofConfig
     env: AxiomEnv = field(default_factory=AxiomEnv)
-    definitions: list[Definition] = field(default_factory=list)
     goals: list[GoalResult] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
     failed: bool = False
@@ -172,11 +163,7 @@ class Session:
 
         for i, d in enumerate(self.module.decls):
             if d.kind == "axiom":
-                entry = axiom(f"Ax{i}", d.formula)
-                self.env = self.env.extended(entry)
-                self.definitions.append(
-                    Definition(entry.name, d.formula, entry.name, "axiom")
-                )
+                self.env = self.env.extended(axiom(f"Ax{i}", d.formula))
                 continue
             name = f"goalLem{i}"
             if d.kind == "lemma":
@@ -188,41 +175,16 @@ class Session:
             if report.outcome not in (PROVEN, DIRECTLY_PROVEN):
                 self.failed = True
                 return
-            for lem in report.lemmas:
-                self.env = self.env.extended(lem)
-                self.definitions.append(
-                    Definition(
-                        lem.name,
-                        lem.formula,
-                        _named_recursion(lem.evidence, lem.name),
-                        "lemma",
-                    )
-                )
+            self.env = self.env.extended(*report.lemmas)
             result.proof_env = self.env
-            entry = lemma(name, d.formula, report.evidence)
-            self.env = self.env.extended(entry)
-            self.definitions.append(
-                Definition(
-                    name, d.formula, _named_recursion(report.evidence, name), "lemma"
-                )
-            )
+            self.env = self.env.extended(lemma(name, d.formula, report.evidence))
 
     def _prove_lemma(self, d: Decl) -> AutoReport:
         try:
             ev = prove_horn(self.env, d.formula, self.cfg)
-            return AutoReport(d.formula, DIRECTLY_PROVEN, evidence=ev)
+            return AutoReport(DIRECTLY_PROVEN, evidence=ev)
         except (FuelExhausted, Stuck, GuardViolation) as ex:
-            return AutoReport(
-                d.formula, INCONCLUSIVE, reason=f"lemma proof failed: {ex}"
-            )
-
-
-def _named_recursion(ev: Evidence, name: str) -> str:
-    """Render a definition body, unfolding its own fixed point to the
-    definition name."""
-    if isinstance(ev, EMu):
-        ev = subst_evidence(ev.body, ev.binder, EAxiom(name))
-    return render_evidence(ev)
+            return AutoReport(INCONCLUSIVE, reason=f"lemma proof failed: {ex}")
 
 
 # ---------------------------------------------------------------------------
@@ -277,31 +239,68 @@ def _explain_lines(name: str, analysis: LoopAnalysis) -> list[str]:
     return out
 
 
-def _goal_failure_lines(g: GoalResult) -> list[str]:
-    out = [
-        f"Proof failed for {g.decl.kind} {render_horn(g.decl.formula)}",
-        f"  outcome: {g.report.outcome}",
-    ]
-    if g.report.candidate is not None:
-        out.append(
-            f"  candidate: {render_horn(g.report.candidate.formula)}"
+def _report(session: Session) -> dict:
+    """The record both printers format: the --json document without `steps`
+    and `exit_code`, with each formula and proof rendered once.  Its
+    definitions are the environment's clauses, which `Session.process`
+    extends in declaration order."""
+    defs = []
+    for e in session.env.clauses():
+        ev = e.evidence
+        if isinstance(ev, EMu):  # the definition's own fixed point, named
+            ev = subst_evidence(ev.body, ev.binder, EAxiom(e.name))
+        shown = e.name if e.kind is EntryKind.AXIOM else render_evidence(ev)
+        defs.append(
+            {
+                "name": e.name,
+                "formula": render_horn(e.formula),
+                "evidence": shown,
+                "kind": e.kind.value,
+            }
         )
-    if g.report.reason:
-        out.append(f"  reason: {g.report.reason}")
-    return out
+    by_name = {d["name"]: d for d in defs}
+    goals = []
+    for g in session.goals:
+        r = g.report
+        d = by_name.get(g.name)  # a proven goal's own definition
+        if d is None:
+            formula, evidence = render_horn(g.decl.formula), None
+        else:
+            formula, evidence = d["formula"], d["evidence"]
+            if isinstance(r.evidence, EMu):
+                evidence = render_evidence(r.evidence)
+        goals.append(
+            {
+                "name": g.name,
+                "declared": g.decl.kind,
+                "formula": formula,
+                "outcome": r.outcome,
+                "evidence": evidence,
+                "lemmas": [lem.name for lem in r.lemmas],
+                "candidate": r.candidate and render_horn(r.candidate.formula),
+                "reason": r.reason or None,
+            }
+        )
+    return {
+        "module": session.module.name,
+        "definitions": defs,
+        "axioms": [d["name"] for d in reversed(defs) if d["kind"] == "axiom"],
+        "lemmas": [d["name"] for d in reversed(defs) if d["kind"] == "lemma"],
+        "goals": goals,
+        "warnings": session.warnings,
+    }
 
 
 def _report_text(session: Session, cfg: RunConfig) -> str:
+    record = _report(session)
     lines = ["Parsing success!", "Type Checking success!", "Program Definitions"]
-    for d in session.definitions:
-        lines.append(f"  {d.name} :: {render_horn(d.formula)}")
-        lines.append(f"  = {d.shown}")
-    lines.append("Axioms")
-    for d in reversed([d for d in session.definitions if d.kind == "axiom"]):
-        lines.append(f"  {d.name} :: {render_horn(d.formula)}")
-    lines.append("Lemmas")
-    for d in reversed([d for d in session.definitions if d.kind == "lemma"]):
-        lines.append(f"  {d.name} :: {render_horn(d.formula)}")
+    for d in record["definitions"]:
+        lines.append(f"  {d['name']} :: {d['formula']}")
+        lines.append(f"  = {d['evidence']}")
+    formula = {d["name"]: d["formula"] for d in record["definitions"]}
+    for section in ("Axioms", "Lemmas"):
+        lines.append(section)
+        lines.extend(f"  {n} :: {formula[n]}" for n in record[section.lower()])
     if cfg.explain:
         for g in session.goals:
             if g.report.analysis is not None:
@@ -318,55 +317,23 @@ def _report_text(session: Session, cfg: RunConfig) -> str:
             f = g.decl.formula
             if not f.body and not free_vars(f):
                 lines.extend(_obs_lines(ax_env, f.head, cfg.obs_check, cfg))
-    for g in session.goals:
-        if g.report.outcome not in (PROVEN, DIRECTLY_PROVEN):
-            lines.extend(_goal_failure_lines(g))
+    for g in record["goals"]:
+        if g["outcome"] not in (PROVEN, DIRECTLY_PROVEN):
+            lines.append(f"Proof failed for {g['declared']} {g['formula']}")
+            lines.append(f"  outcome: {g['outcome']}")
+            if g["candidate"] is not None:
+                lines.append(f"  candidate: {g['candidate']}")
+            if g["reason"]:
+                lines.append(f"  reason: {g['reason']}")
     return "\n".join(lines) + "\n"
 
 
 def emit_json(session: Session, cfg: RunConfig, exit_code: int) -> str:
     """Machine-readable mirror of the text report."""
-    defs = [
-        {
-            "name": d.name,
-            "formula": render_horn(d.formula),
-            "evidence": d.shown,
-            "kind": d.kind,
-        }
-        for d in session.definitions
-    ]
-    goals = []
-    for g in session.goals:
-        goals.append(
-            {
-                "name": g.name,
-                "declared": g.decl.kind,
-                "formula": render_horn(g.decl.formula),
-                "outcome": g.report.outcome,
-                "evidence": (
-                    render_evidence(g.report.evidence)
-                    if g.report.evidence is not None
-                    else None
-                ),
-                "lemmas": [lem.name for lem in g.report.lemmas],
-                "candidate": (
-                    render_horn(g.report.candidate.formula)
-                    if g.report.candidate is not None
-                    else None
-                ),
-                "reason": g.report.reason or None,
-                "steps": g.replay(count_steps, cfg.fuel),
-            }
-        )
-    doc = {
-        "module": session.module.name,
-        "definitions": defs,
-        "axioms": [d.name for d in reversed(session.definitions) if d.kind == "axiom"],
-        "lemmas": [d.name for d in reversed(session.definitions) if d.kind == "lemma"],
-        "goals": goals,
-        "warnings": session.warnings,
-        "exit_code": exit_code,
-    }
+    doc = _report(session)
+    for goal, g in zip(doc["goals"], session.goals):
+        goal["steps"] = g.replay(count_steps, cfg.fuel)
+    doc["exit_code"] = exit_code
     return json.dumps(doc, indent=2) + "\n"
 
 

@@ -98,7 +98,7 @@ def prove_horn(
     co = cohypothesis(mu_name, goal)
     gamma: Subst = {}
     for i, v in enumerate(free_vars(goal), start=1):
-        gamma[v] = Eigen(f"{v}#{i}", origin=f"{mu_name}:{render_horn(goal)}")
+        gamma[v] = Eigen(f"{v}#{i}")
     binders = []
     hyps = []
     work = env.extended(co)
@@ -188,7 +188,6 @@ def _find_closed_subtree(
 
 @dataclass
 class AutoReport:
-    goal: HornFormula
     outcome: str
     evidence: Optional[Evidence] = None
     lemmas: tuple[Entry, ...] = ()
@@ -223,9 +222,9 @@ def auto(
     if goal.body or free_vars(goal):
         try:
             ev = prove_horn(env, goal, cfg)
-            return AutoReport(goal, DIRECTLY_PROVEN, evidence=ev)
+            return AutoReport(DIRECTLY_PROVEN, evidence=ev)
         except (FuelExhausted, Stuck, GuardViolation) as ex:
-            return AutoReport(goal, INCONCLUSIVE, reason=f"direct proof failed: {ex}")
+            return AutoReport(INCONCLUSIVE, reason=f"direct proof failed: {ex}")
 
     new_lemmas: list[Entry] = []
     analysis: Optional[LoopAnalysis] = None
@@ -236,17 +235,14 @@ def auto(
             _check_proof(cur, ev, goal)
             outcome = PROVEN if new_lemmas else DIRECTLY_PROVEN
             return AutoReport(
-                goal, outcome, evidence=ev, lemmas=tuple(new_lemmas), analysis=analysis
+                outcome, evidence=ev, lemmas=tuple(new_lemmas), analysis=analysis
             )
         except Stuck as ex:
-            return AutoReport(
-                goal, INCONCLUSIVE, lemmas=tuple(new_lemmas), reason=str(ex)
-            )
+            return AutoReport(INCONCLUSIVE, lemmas=tuple(new_lemmas), reason=str(ex))
         except FuelExhausted:
             pass
         if round_no == cfg.max_lemma_rounds:
             return AutoReport(
-                goal,
                 INCONCLUSIVE,
                 lemmas=tuple(new_lemmas),
                 reason=f"no proof within {cfg.max_lemma_rounds} lemma rounds",
@@ -255,32 +251,30 @@ def auto(
         try:
             cs = _find_closed_subtree(cur, goal.head, cfg.tree_depth)
         except OverlapError as ex:
-            return AutoReport(goal, INCONCLUSIVE, reason=str(ex))
+            return AutoReport(INCONCLUSIVE, reason=str(ex))
         if isinstance(cs, NoClosedSubtree):
             analysis = LoopAnalysis(cur, goal.head, cfg.tree_depth, None, None)
             outcome = INCONCLUSIVE if cs.inconclusive else NO_LOOP_FOUND
-            return AutoReport(goal, outcome, reason=cs.reason, analysis=analysis)
+            return AutoReport(outcome, reason=cs.reason, analysis=analysis)
         try:
             at = abstract_representation(cs, cur, ABSTRACT_FUEL)
         except FuelExhausted:
             analysis = LoopAnalysis(cur, goal.head, cfg.tree_depth, cs, None)
             return AutoReport(
-                goal,
                 INCONCLUSIVE,
                 reason="abstract unfolding diverged",
                 analysis=analysis,
             )
         except OverlapError as ex:
-            return AutoReport(goal, INCONCLUSIVE, reason=str(ex))
+            return AutoReport(INCONCLUSIVE, reason=str(ex))
         analysis = LoopAnalysis(cur, goal.head, cfg.tree_depth, cs, at)
         cand, why = candidate_lemma(at, cur)
         if cand is None:
-            return AutoReport(goal, NO_LOOP_FOUND, reason=why, analysis=analysis)
+            return AutoReport(NO_LOOP_FOUND, reason=why, analysis=analysis)
         try:
             lev = prove_horn(cur, cand.formula, cfg)
         except (FuelExhausted, Stuck, GuardViolation) as ex:
             return AutoReport(
-                goal,
                 LEMMA_UNPROVABLE,
                 candidate=cand,
                 reason=f"candidate lemma {render_horn(cand.formula)} failed: {ex}",

@@ -101,7 +101,7 @@ def type_check(
             gamma: Subst = {}
             for v in fvs:
                 counter[0] += 1
-                gamma[v] = Eigen(f"{v}#{counter[0]}", origin=render_horn(f))
+                gamma[v] = Eigen(f"{v}#{counter[0]}")
             inner_scope = dict(scope)
             for b, atom in zip(binders, f.body):
                 inner_scope[b] = fact(apply(gamma, atom))

@@ -258,8 +258,6 @@ def abstract_representation(
 @dataclass(frozen=True)
 class CandidateLemma:
     formula: HornFormula
-    source_goal: Atom
-    critical_positions: tuple[Path, ...]
 
 
 def candidate_lemma(
@@ -287,8 +285,7 @@ def candidate_lemma(
         for e in env.clauses():
             if _same_up_to_renaming(e.formula, formula):
                 return None, f"discarded: candidate restates clause {e.name}"
-    cand = CandidateLemma(formula, at.root, tuple(at.frontier))
-    return cand, ""
+    return CandidateLemma(formula), ""
 
 
 def _canonical(f: HornFormula) -> HornFormula:

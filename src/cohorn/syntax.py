@@ -40,7 +40,6 @@ class Eigen:
     constant written by the user."""
 
     name: str
-    origin: str = ""
 
     def __repr__(self):
         return self.name

@@ -181,7 +181,7 @@ def random_atom(rng: random.Random, arity: int, vars_: list[str]) -> Atom:
 
 # Clause-index shapes: P has arity 2, Q arity 1 and R is nullary.
 INDEX_ARITY = {"P": 2, "Q": 1, "R": 0}
-EIGEN = Eigen("e#1", origin="test")
+EIGEN = Eigen("e#1")
 
 
 def random_index_term(rng: random.Random, vars_: list[str]) -> Term:

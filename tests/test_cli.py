@@ -11,7 +11,7 @@ import pytest
 from cohorn import cli, corec, evidence
 from cohorn.cli import RunConfig, Session, main, run, run_obs, run_trace
 from cohorn.corec import ProofConfig
-from cohorn.parser import Decl, SourceModule
+from cohorn.parser import Decl, SourceModule, render
 from cohorn.syntax import (
     Atom,
     HornFormula,
@@ -22,7 +22,16 @@ from cohorn.syntax import (
     render_atom,
     render_horn,
 )
-from conftest import random_index_goal, random_index_head
+from conftest import (
+    SHARING_COHYPOTHESES,
+    parse_horn,
+    random_index_goal,
+    random_index_head,
+    random_loop_goal,
+    random_looping_env,
+    random_sharing_env,
+    random_sharing_term,
+)
 
 BUSH_GOLDEN = """\
 Parsing success!
@@ -373,6 +382,131 @@ def test_check_type_checks_each_printed_lemma_once(corpus, monkeypatch, name):
     assert len(printed) == len(calls) > 0
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+def test_check_renders_each_printed_object_once(corpus, monkeypatch, as_json):
+    seen = []  # keeps every rendered object alive, so ids are not reused
+    for name in ("render_atom", "render_evidence", "render_horn"):
+        original = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda x, f=original: seen.append(x) or f(x))
+    engine = []
+    for mod in (corec, evidence):
+        original = mod.render_horn
+        monkeypatch.setattr(
+            mod, "render_horn", lambda x, f=original: engine.append(x) or f(x)
+        )
+    for path in sorted(corpus.glob("*.asl")):
+        seen.clear()
+        engine.clear()
+        code, _, _ = run(RunConfig(path=str(path), json=as_json))
+        assert len(seen) == len({id(x) for x in seen}) > 0, path.name
+        if code == 0:
+            assert engine == [], path.name
+
+
+# ---------------------------------------------------------------------------
+# text and --json print the same record
+
+
+def parse_text_report(out: str) -> dict:
+    """The definitions, the Axioms and Lemmas sections and the failure
+    blocks of a text report."""
+    lines = out.splitlines()
+    assert lines[:3] == ["Parsing success!", "Type Checking success!", "Program Definitions"]
+    i, defs = 3, []
+    while lines[i] != "Axioms":
+        name, formula = lines[i][2:].split(" :: ")
+        assert lines[i + 1].startswith("  = ")
+        defs.append((name, formula, lines[i + 1][4:]))
+        i += 2
+    sections = {}
+    for section in ("Axioms", "Lemmas"):
+        assert lines[i] == section
+        i += 1
+        sections[section] = []
+        while i < len(lines) and lines[i].startswith("  "):
+            sections[section].append(tuple(lines[i][2:].split(" :: ")))
+            i += 1
+    failures = []
+    for line in lines[i:]:
+        if line.startswith("Proof failed for "):
+            declared, formula = line[len("Proof failed for ") :].split(" ", 1)
+            failures.append(
+                {"declared": declared, "formula": formula, "candidate": None, "reason": None}
+            )
+        else:
+            key, value = line.strip().split(": ", 1)
+            failures[-1][key] = value
+    return {"definitions": defs, **sections, "failures": failures}
+
+
+def assert_text_matches_json(text: str, doc: dict):
+    report = parse_text_report(text)
+    assert report["definitions"] == [
+        (d["name"], d["formula"], d["evidence"]) for d in doc["definitions"]
+    ]
+    formula = {d["name"]: d["formula"] for d in doc["definitions"]}
+    assert report["Axioms"] == [(n, formula[n]) for n in doc["axioms"]]
+    assert report["Lemmas"] == [(n, formula[n]) for n in doc["lemmas"]]
+    keys = ("declared", "formula", "outcome", "candidate", "reason")
+    assert report["failures"] == [
+        {k: g[k] for k in keys}
+        for g in doc["goals"]
+        if g["outcome"] not in ("Proven", "DirectlyProven")
+    ]
+
+
+def check_both(path: str, **bounds) -> dict:
+    code, text, _ = run(RunConfig(path=path, **bounds))
+    json_code, out, _ = run(RunConfig(path=path, json=True, **bounds))
+    doc = json.loads(out)
+    assert code == json_code == doc["exit_code"]
+    assert_text_matches_json(text, doc)
+    return doc
+
+
+@pytest.mark.parametrize("bounds", [{}, {"fuel": 20}, {"max_lemma_rounds": 1}])
+def test_text_and_json_agree_on_the_corpus(corpus, bounds):
+    failed = 0
+    for path in sorted(corpus.glob("*.asl")):
+        doc = check_both(str(path), **bounds)
+        failed += doc["exit_code"] == 1
+    assert failed >= 2
+
+
+def random_report_module(rng: random.Random) -> SourceModule:
+    """Axioms of a sharing or looping program, then lemma goals over the
+    sharing cohypotheses and auto goals over random ground atoms."""
+    if rng.random() < 0.6:
+        env = random_sharing_env(rng)
+        lemmas = [c for c in SHARING_COHYPOTHESES if rng.random() < 0.7]
+        goals = [("lemma", parse_horn(c)) for c in rng.sample(lemmas, len(lemmas))]
+        goals += [
+            ("auto", fact(Atom("Eq", (random_sharing_term(rng, rng.randint(0, 4)),))))
+            for _ in range(3)
+        ]
+    else:
+        env = random_looping_env(rng, overlapping=rng.random() < 0.5)
+        goals = [("auto", fact(random_loop_goal(rng, env))) for _ in range(3)]
+    decls = [("axiom", e.formula) for e in env.clauses()] + goals
+    return SourceModule("m", tuple(Decl(k, f, i) for i, (k, f) in enumerate(decls, 2)))
+
+
+def test_text_and_json_agree_on_generated_modules(tmp_path):
+    rng = random.Random(17)
+    mu_lemmas = failed = 0
+    for k in range(120):
+        path = tmp_path / f"m{k}.asl"
+        path.write_text(render(random_report_module(rng)), encoding="utf-8")
+        doc = check_both(str(path), fuel=2_000)
+        failed += doc["exit_code"] == 1
+        mu_lemmas += sum(
+            g["declared"] == "lemma" and g["evidence"].startswith("mu ")
+            for g in doc["goals"]
+            if g["evidence"] is not None
+        )
+    assert mu_lemmas >= 15 and failed >= 10
+
+
 def test_check_ends_on_16000_deep_terms(tmp_path):
     # both used to overflow the C stack under the CLI's raised recursion
     # limit: hashing the goal, and comparing two equal axioms
@@ -394,9 +528,9 @@ def test_check_ends_on_16000_deep_terms(tmp_path):
         assert proc.returncode in (0, 1, 2), (name, proc.returncode)
 
 
-def test_benchmark_tracer_bindings_resolve():
+def test_benchmark_tracer_bindings_resolve(corpus):
     # the tracer wraps these names from outside; a binding that a refactor
-    # drops would otherwise only fail in a traced benchmark run
+    # drops or bypasses would otherwise only read 0 in a traced benchmark run
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
@@ -407,6 +541,19 @@ def test_benchmark_tracer_bindings_resolve():
         for part in attr.split("."):
             owner = getattr(owner, part)
         assert callable(owner), (mod, attr)
+    modules = {m: importlib.import_module(f"cohorn.{m}") for m, _ in bindings}
+    tracer = tracing.Tracer(modules)
+    tracer.install()
+    try:
+        renders = 0
+        for runs, flags in enumerate(([], ["--json"]), start=1):
+            assert modules["cli"].main(["check", str(corpus / "pair.asl"), *flags]) == 0
+            totals = tracer.totals()
+            assert totals["report"]["calls"] == runs, flags
+            assert totals["render"]["calls"] > renders, flags
+            renders = totals["render"]["calls"]
+    finally:
+        tracer.uninstall()
 
 
 # ---------------------------------------------------------------------------
