@@ -37,6 +37,8 @@ from .resolve import (
 )
 from .syntax import (
     Atom,
+    EApp,
+    EAxiom,
     ELam,
     EMu,
     Eigen,
@@ -194,6 +196,48 @@ class AutoReport:
     candidate: Optional[CandidateLemma] = None
     reason: str = ""
     analysis: Optional[LoopAnalysis] = None
+    # the small-step trace length of a resolved ground goal, when the search
+    # that proved it determines it (`_trace_length`)
+    steps: Optional[int] = None
+
+
+def _trace_length(ev: Evidence, spent: int) -> Optional[int]:
+    """The length of the small-step trace of the goal `resolve` proved
+    with `ev`, spending `spent` fuel, or None when the search does not
+    determine it.
+
+    The length is the application count of `ev`: its EAxiom nodes, counted
+    as a tree and memoised by identity, because replayed subproofs are
+    shared.  It is exact when `ev` holds no EMu or EVar and `spent` equals
+    that count.  Each clause application spends one fuel unit, and a
+    replayed subgoal is charged its recorded count, the size of its
+    choice-free proof.  So the fuel spent is the proof's size plus the
+    applications that backtracking abandoned, and each backtrack abandons
+    at least one: the alternative already applied at that choice point.
+    Spent equals size exactly when the search never backtracked.  Then
+    every proof node took the first of its `candidates`; with no
+    assumption in the proof, that is the newest matching clause, which is
+    what `StepMachine` rewrites with.  The trace applies the same clauses,
+    one step each, and ends at the same size."""
+    size: dict[int, int] = {}
+    stack: list[Evidence] = [ev]
+    while stack:
+        node = stack[-1]
+        if id(node) in size:
+            stack.pop()
+        elif node.__class__ is EAxiom:
+            size[id(node)] = 1
+            stack.pop()
+        elif node.__class__ is EApp:
+            fun, arg = node.fun, node.arg
+            if id(fun) in size and id(arg) in size:
+                size[id(node)] = size[id(fun)] + size[id(arg)]
+                stack.pop()
+            else:
+                stack += (fun, arg)
+        else:  # an EMu or EVar: an assumption was used
+            return None
+    return size[id(ev)] if size[id(ev)] == spent else None
 
 
 def auto(
@@ -231,11 +275,15 @@ def auto(
     cur = env
     for round_no in range(cfg.max_lemma_rounds + 1):
         try:
-            ev = resolve(cur, goal.head, Fuel(cfg.fuel))
+            fuel = Fuel(cfg.fuel)
+            ev = resolve(cur, goal.head, fuel)
             _check_proof(cur, ev, goal)
-            outcome = PROVEN if new_lemmas else DIRECTLY_PROVEN
             return AutoReport(
-                outcome, evidence=ev, lemmas=tuple(new_lemmas), analysis=analysis
+                PROVEN if new_lemmas else DIRECTLY_PROVEN,
+                evidence=ev,
+                lemmas=tuple(new_lemmas),
+                analysis=analysis,
+                steps=_trace_length(ev, cfg.fuel - fuel.remaining),
             )
         except Stuck as ex:
             return AutoReport(INCONCLUSIVE, lemmas=tuple(new_lemmas), reason=str(ex))

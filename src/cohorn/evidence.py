@@ -71,21 +71,25 @@ def type_check(
 
     Global names resolve in `env`; the `mu` and lambda binders the term
     opens live in a local scope that is searched first, so a binder shadows
-    an entry of the same name."""
-    log: list[str] = []
-    counter = [0]
+    an entry of the same name.  The checks wait on a work stack of (scope,
+    evidence, formula), arguments pushed last first, so they run depth-first
+    and left to right, as the rules nest, at any depth of evidence: the
+    first failure met is the one logged."""
 
-    def fail(msg: str) -> bool:
-        log.append(f"FAIL: {msg}")
-        return False
+    def fail(msg: str) -> tuple[bool, list[str]]:
+        return False, [f"FAIL: {msg}"]
 
-    def check(scope: dict, e: Evidence, f: HornFormula) -> bool:
+    eigens = 0
+    work: list[tuple[dict, Evidence, HornFormula]] = [({}, e, f)]
+    while work:
+        scope, e, f = work.pop()
         if isinstance(e, EMu):
             if not hnf(e.body):
                 return fail(
                     f"mu rule needs a head-normal body, got {render_evidence(e.body)}"
                 )
-            return check({**scope, e.binder: f}, e.body, f)
+            work.append(({**scope, e.binder: f}, e.body, f))
+            continue
         fvs = free_vars(f)
         if f.body or fvs:
             binders = []
@@ -100,12 +104,13 @@ def type_check(
                 )
             gamma: Subst = {}
             for v in fvs:
-                counter[0] += 1
-                gamma[v] = Eigen(f"{v}#{counter[0]}")
+                eigens += 1
+                gamma[v] = Eigen(f"{v}#{eigens}")
             inner_scope = dict(scope)
             for b, atom in zip(binders, f.body):
                 inner_scope[b] = fact(apply(gamma, atom))
-            return check(inner_scope, inner, fact(apply(gamma, f.head)))
+            work.append((inner_scope, inner, fact(apply(gamma, f.head))))
+            continue
         goal = f.head
         head, args = spine_evidence(e)
         if not isinstance(head, (EAxiom, EVar)):
@@ -130,15 +135,9 @@ def type_check(
                 f"{head.name} applied to {len(args)} arguments but has "
                 f"{len(hf.body)} hypotheses"
             )
-        return all(
-            check(scope, a, fact(apply(sigma, b))) for a, b in zip(args, hf.body)
-        )
-
-    ok = check({}, e, f)
-    # `check` refers to itself; unbinding it frees the closure, and the
-    # environment it holds, without waiting for the cycle collector
-    del check
-    return ok, log
+        for a, b in zip(reversed(args), reversed(hf.body)):
+            work.append((scope, a, fact(apply(sigma, b))))
+    return True, []
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,16 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from cohorn import cli, corec, evidence
 from cohorn.cli import RunConfig, Session, main, run, run_obs, run_trace
-from cohorn.corec import ProofConfig
+from cohorn.corec import ProofConfig, _trace_length, auto
 from cohorn.parser import Decl, SourceModule, render
+from cohorn.resolve import Fuel, FuelExhausted, GuardViolation, Stuck, count_steps, resolve
 from cohorn.syntax import (
     Atom,
     HornFormula,
@@ -29,8 +31,10 @@ from conftest import (
     random_index_head,
     random_loop_goal,
     random_looping_env,
+    random_sharing_corec,
     random_sharing_env,
     random_sharing_term,
+    random_terminating_case,
 )
 
 BUSH_GOLDEN = """\
@@ -526,6 +530,132 @@ def test_check_ends_on_16000_deep_terms(tmp_path):
             timeout=120,
         )
         assert proc.returncode in (0, 1, 2), (name, proc.returncode)
+
+
+# ---------------------------------------------------------------------------
+# the JSON `steps` field: the search's count where it is exact, else a replay
+
+
+def nat_chain(n: int) -> str:
+    """A module proving a ground nat of depth n in n + 1 applications."""
+    goal = "(S " * n + "Z" + ")" * n
+    return f"module chain where\naxiom Eq Z\naxiom Eq x => Eq (S x)\nauto Eq {goal}\n"
+
+
+def wide_module(preds: int, ctors: int) -> str:
+    """The wide_lemmas shape: a base fact and a clause per constructor for
+    each predicate, then lemma/auto pairs whose auto goal uses the lemma."""
+    decls = []
+    for p in range(preds):
+        decls.append(f"axiom P{p} Z")
+        decls += [f"axiom P{p} x => P{p} (C{i} x)" for i in range(ctors)]
+    for p in range(preds):
+        for i in range(ctors):
+            j, k = (i + 1) % ctors, (i + 2) % ctors
+            decls.append(f"lemma P{p} x => P{p} (C{i} (C{j} x))")
+            decls.append(f"auto P{p} (C{i} (C{j} (C{k} Z)))")
+    return "module wide where\n" + "\n".join(decls) + "\n"
+
+
+def processed(module: SourceModule, cfg: ProofConfig) -> Session:
+    session = Session(module, cfg)
+    session.load_checks()
+    session.process()
+    return session
+
+
+def test_steps_from_the_search_equal_the_replay(corpus):
+    sides = Counter()
+
+    def compare(steps, exact):
+        if steps is not None:
+            assert steps == exact
+            sides["derived"] += 1
+        elif exact is not None:
+            sides["replayed"] += 1
+
+    def compare_session(session):
+        for g in session.goals:
+            compare(g.report.steps, g.replay(count_steps, session.cfg.fuel))
+
+    for path in sorted(corpus.glob("*.asl")):
+        compare_session(processed(cli._load(str(path)), ProofConfig()))
+    replayed_in_corpus = sides["replayed"]
+    rng = random.Random(17)  # the generated modules with lemma goals
+    for _ in range(120):
+        compare_session(processed(random_report_module(rng), ProofConfig(fuel=2_000)))
+    cfg = ProofConfig(fuel=400)
+    rng = random.Random(5)
+    for _ in range(300):
+        cases = [random_terminating_case(rng)]
+        for overlapping in (True, False):
+            env = random_looping_env(rng, overlapping)
+            cases.append((env, random_loop_goal(rng, env)))
+        env = random_sharing_env(rng)
+        goal = Atom("Eq", (random_sharing_term(rng, rng.randint(0, 6)),))
+        cases.append((env, goal))
+        for env, goal in cases:
+            report = auto(env, fact(goal), cfg)
+            if report.evidence is not None:
+                exact = count_steps(env.extended(*report.lemmas), goal, cfg.fuel)
+                compare(report.steps, exact)
+        # with assumptions in scope, as `prove_horn` resolves, through `resolve`
+        work, fuel = random_sharing_corec(rng, env), Fuel(cfg.fuel)
+        try:
+            ev = resolve(work, goal, fuel)
+        except (FuelExhausted, GuardViolation, Stuck):
+            continue
+        compare(_trace_length(ev, cfg.fuel - fuel.remaining), count_steps(work, goal, cfg.fuel))
+    # the corpus's two ground lemma goals are proven by `prove_horn`
+    assert replayed_in_corpus == 2
+    assert sides["derived"] >= 700 and sides["replayed"] >= 100, sides
+
+
+def test_json_steps_replay_only_what_the_search_leaves_open(corpus, tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return count_steps(*args)
+
+    monkeypatch.setattr(cli, "count_steps", counted)
+    for text, fuel in ((nat_chain(600), 700), (wide_module(3, 8), 10_000)):
+        path = tmp_path / "m.asl"
+        path.write_text(text, encoding="utf-8")
+        code, out, _ = run(RunConfig(path=str(path), json=True, fuel=fuel))
+        doc = json.loads(out)
+        assert code == 0 and calls == []
+        assert all(g["steps"] is not None for g in doc["goals"] if g["declared"] == "auto")
+    assert doc["goals"][-1]["steps"] == 3  # the lemma, then Ax (Ax Z)
+    for name in ("lam_lemma.asl", "mutual_lemma.asl"):
+        run(RunConfig(path=str(corpus / name), json=True))
+    assert [render_atom(a) for a in calls] == ["Eq (Mu HLam Unit)", "Eq (Mu H1 H2 Unit)"]
+
+
+def test_json_steps_of_a_deep_chain_need_no_recursion_limit():
+    # in a child, because `cli.main` raises this interpreter's limit
+    code = f"""
+import json, sys
+from cohorn.cli import RunConfig, Session, emit_json
+from cohorn.parser import parse_module
+assert sys.getrecursionlimit() <= 1000
+cfg = RunConfig(path="chain.asl", fuel=20_010)
+session = Session(parse_module({nat_chain(10_000)!r}), cfg)
+session.load_checks()
+session.process()
+(goal,) = json.loads(emit_json(session, cfg, 0))["goals"]
+print(goal["outcome"], goal["steps"])
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["DirectlyProven", "10001"]
 
 
 def test_benchmark_tracer_bindings_resolve(corpus):

@@ -1,6 +1,7 @@
 import contextlib
 import importlib
 import io
+import random
 
 import pytest
 
@@ -12,12 +13,20 @@ from cohorn.evidence import (
     corecursive_points,
     detect_simple_loop,
     ev_step,
+    hnf,
     iterate_context,
     observational_points,
     type_check,
     whnf,
 )
-from cohorn.resolve import AxiomEnv, FuelExhausted, axiom
+from cohorn.resolve import (
+    AxiomEnv,
+    FuelExhausted,
+    GuardViolation,
+    Stuck,
+    axiom,
+    resolve,
+)
 from cohorn.syntax import (
     App,
     Atom,
@@ -27,19 +36,34 @@ from cohorn.syntax import (
     ELam,
     EMu,
     EVar,
+    Eigen,
     Hole,
     HornFormula,
     MAtom,
     Var,
+    apply,
     fact,
+    free_vars,
     mk_app,
     match,
     mk_eapp,
     pair,
+    render_atom,
+    render_evidence,
+    render_horn,
+    spine_evidence,
     subst_evidence,
 )
-from conftest import best_time, eq
-from test_machine import subterm_at
+from conftest import (
+    SHARING_COHYPOTHESES,
+    best_time,
+    eq,
+    parse_horn,
+    random_sharing_corec,
+    random_sharing_env,
+    random_sharing_term,
+)
+from test_machine import replace_at, subterm_at
 
 Int, Mu, HPTree = Const("Int"), Const("Mu"), Const("HPTree")
 x = Var("x")
@@ -110,6 +134,155 @@ def test_type_check_log_is_empty_on_success_and_one_line_on_failure(phi_hptree):
     ok, log = type_check(phi_hptree, EAxiom("KNope"), fact(eq(Int)))
     assert not ok
     assert log == ["FAIL: assumption KNope is not in scope"]
+
+
+def ref_type_check(env, e, f):
+    """The recursive type checker the work-stack one replaced."""
+    log = []
+    counter = [0]
+
+    def fail(msg):
+        log.append(f"FAIL: {msg}")
+        return False
+
+    def check(scope, e, f):
+        if isinstance(e, EMu):
+            if not hnf(e.body):
+                return fail(
+                    f"mu rule needs a head-normal body, got {render_evidence(e.body)}"
+                )
+            return check({**scope, e.binder: f}, e.body, f)
+        fvs = free_vars(f)
+        if f.body or fvs:
+            binders = []
+            inner = e
+            while isinstance(inner, ELam) and len(binders) < len(f.body):
+                binders.append(inner.binder)
+                inner = inner.body
+            if len(binders) != len(f.body):
+                return fail(
+                    f"{render_evidence(e)} does not bind the {len(f.body)} "
+                    f"hypotheses of {render_horn(f)}"
+                )
+            gamma = {}
+            for v in fvs:
+                counter[0] += 1
+                gamma[v] = Eigen(f"{v}#{counter[0]}")
+            inner_scope = dict(scope)
+            for b, atom in zip(binders, f.body):
+                inner_scope[b] = fact(apply(gamma, atom))
+            return check(inner_scope, inner, fact(apply(gamma, f.head)))
+        goal = f.head
+        head, args = spine_evidence(e)
+        if not isinstance(head, (EAxiom, EVar)):
+            return fail(
+                f"head of {render_evidence(e)} is not an assumption constant "
+                f"or variable"
+            )
+        hf = scope.get(head.name)
+        if hf is None:
+            entry = env.lookup(head.name)
+            if entry is None:
+                return fail(f"assumption {head.name} is not in scope")
+            hf = entry.formula
+        sigma = match(hf.head, goal)
+        if sigma is None:
+            return fail(
+                f"head of {head.name} : {render_horn(hf)} does not match "
+                f"{render_atom(goal)}"
+            )
+        if len(args) != len(hf.body):
+            return fail(
+                f"{head.name} applied to {len(args)} arguments but has "
+                f"{len(hf.body)} hypotheses"
+            )
+        return all(
+            check(scope, a, fact(apply(sigma, b))) for a, b in zip(args, hf.body)
+        )
+
+    return check({}, e, f), log
+
+
+def positions(e):
+    """Every path into e, in the child indices of `subterm_at`."""
+    out, stack = [], [(e, ())]
+    while stack:
+        node, path = stack.pop()
+        out.append(path)
+        if isinstance(node, EApp):
+            stack += ((node.fun, path + (0,)), (node.arg, path + (1,)))
+        elif isinstance(node, (ELam, EMu)):
+            stack.append((node.body, path + (0,)))
+    return out
+
+
+def proofs(rng):
+    """(env, evidence, formula) triples that type-check: resolved ground
+    sharing goals, with and without assumptions in scope, and the proofs
+    of the sharing cohypotheses as lemmas, with their binders and fixed
+    points."""
+    env = random_sharing_env(rng)
+    work = random_sharing_corec(rng, env)
+    out = []
+    for c in SHARING_COHYPOTHESES:
+        try:
+            out.append((env, prove_horn(env, parse_horn(c)), parse_horn(c)))
+        except (FuelExhausted, GuardViolation, Stuck):
+            pass
+    for e in (env, work):
+        goal = Atom("Eq", (random_sharing_term(rng, rng.randint(0, 5)),))
+        try:
+            out.append((e, resolve(e, goal, 400), fact(goal)))
+        except (FuelExhausted, GuardViolation, Stuck):
+            pass
+    return out
+
+
+def mutated(rng, env, ev, formula):
+    """ev with one subterm replaced, renamed, cut, extended or wrapped,
+    or checked against another formula."""
+    paths = positions(ev)
+    at = rng.choice(paths)
+    node = subterm_at(ev, at)
+    roll = rng.random()
+    if roll < 0.25:
+        new = subterm_at(ev, rng.choice(paths))
+    elif roll < 0.45:
+        names = [e.name for e in env] + ["KNope", "b0", "r"]
+        new = rng.choice([EAxiom, EVar])(rng.choice(names))
+    elif roll < 0.6:
+        new = node.fun if isinstance(node, EApp) else ELam("b0", node)
+    elif roll < 0.7:
+        new = EApp(node, EAxiom(rng.choice([e.name for e in env])))
+    elif roll < 0.85:
+        new = EMu("m", node)
+    else:
+        goal = Atom("Eq", (random_sharing_term(rng, rng.randint(0, 3)),))
+        return ev, rng.choice([fact(goal), HornFormula((goal,), formula.head)])
+    return replace_at(ev, at, new), formula
+
+
+# a phrase of each rule's failure line
+RULES = ("mu rule", "does not bind", "not an assumption", "not in scope", "does not match", "arguments but")
+
+
+def test_type_check_agrees_with_the_recursive_checker():
+    rng = random.Random(29)
+    failures = dict.fromkeys(RULES, 0)
+    checked = 0
+    for _ in range(60):
+        for env, ev, formula in proofs(rng):
+            assert type_check(env, ev, formula) == (True, []), ev
+            assert ref_type_check(env, ev, formula) == (True, [])
+            checked += 1
+            for _ in range(12):
+                bad, f = mutated(rng, env, ev, formula)
+                got = type_check(env, bad, f)
+                assert got == ref_type_check(env, bad, f), (bad, f)
+                for rule in RULES:
+                    failures[rule] += not got[0] and rule in got[1][0]
+    assert checked >= 150, checked
+    assert min(failures.values()) >= 5, failures
 
 
 # ---------------------------------------------------------------------------
