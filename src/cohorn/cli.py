@@ -332,7 +332,7 @@ def emit_json(session: Session, cfg: RunConfig, exit_code: int) -> str:
     """Machine-readable mirror of the text report."""
     doc = _report(session)
     for goal, g in zip(doc["goals"], session.goals):
-        steps = g.report.steps  # the search's count, else a replay
+        steps = g.report.steps
         goal["steps"] = steps if steps is not None else g.replay(count_steps, cfg.fuel)
     doc["exit_code"] = exit_code
     return json.dumps(doc, indent=2) + "\n"

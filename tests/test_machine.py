@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 import time
+from dataclasses import fields, is_dataclass
 from itertools import islice
 
 import pytest
@@ -66,9 +67,6 @@ from cohorn.syntax import (
     mk_app,
     mk_eapp,
     pair,
-    render_atom,
-    render_evidence,
-    render_term,
     spine_evidence,
     subst_evidence,
 )
@@ -485,65 +483,53 @@ def raised(fn, *args):
         return "FuelExhausted"
 
 
-def rendered_loop(loop):
-    """A simple loop found in a case's own environment, as text."""
-    if loop is None:
-        return None
-    return {
-        "state": render_evidence(loop.loop_state),
-        "position": list(loop.loop_position),
-        "sigma": {v: render_term(t) for v, t in loop.sigma.items()},
-        "hypotheses": [render_atom(d) for d in loop.hypotheses],
-        "contexts": [
-            [render_atom(d), render_evidence(c)]
-            for d, c in loop.hypothesis_evidence_contexts.items()
-        ],
-    }
+def tagged(x):
+    """`x` as JSON data that keeps each node's class: a dataclass becomes
+    [class name, *fields], so a `Var` and a `Const` of one name, an `EAxiom`
+    and an `EVar`, or an `MAtom` and an application that prints like it stay
+    apart.  A dict becomes its sorted [key, value] pairs.  A simple loop's
+    environment is left out: its case rebuilds it from the same seed."""
+    if is_dataclass(x):
+        return [type(x).__name__] + [
+            tagged(getattr(x, f.name)) for f in fields(x) if f.name != "env"
+        ]
+    if isinstance(x, (tuple, list)):
+        return [tagged(y) for y in x]
+    if isinstance(x, dict):
+        return sorted(([tagged(k), tagged(v)] for k, v in x.items()), key=json.dumps)
+    return x
 
 
-def rendered_points(points):
-    if points == "FuelExhausted":
-        return points
-    return [
-        [r.kind, r.index, render_evidence(r.context), [render_evidence(a) for a in r.redex_args]]
-        for r in points
-    ]
-
-
-def loop_answers(detect, points, fuel, generated):
-    """For each of `loop_cases(generated, generated)`: its goal, the simple
-    loop `detect` finds within fuel, and `points` of that loop at n = 1 and
-    n = 3, all rendered."""
+def loop_answers(cases, detect, points, fuel):
+    """For each (env, goal) case: its goal, the simple loop `detect` finds
+    within fuel, and `points` of that loop at n = 1 and n = 3."""
     out = []
-    for env, goal in loop_cases(generated, generated):
+    for env, goal in cases:
         loop = detect(env, goal, fuel)
-        out.append(
-            {
-                "goal": render_atom(goal),
-                "loop": rendered_loop(loop),
-                "points": loop and [rendered_points(raised(points, loop, n, fuel)) for n in (1, 3)],
-            }
-        )
+        out.append((goal, loop, loop and [raised(points, loop, n, fuel) for n in (1, 3)]))
     return out
 
 
 # The reference's answers at fuel 400 on 8 + 8 generated cases, which take it
-# about 5 s: `loop_answers(ref_detect_simple_loop, ref_observational_points,
-# 400, 8)`, recorded when it agreed with the live answers.
+# about 5 s: `tagged(loop_answers(loop_cases(8, 8), ref_detect_simple_loop,
+# ref_observational_points, 400))`, recorded when the reference's answers
+# equalled the live machine's on the same cases, as objects.
 LOOP_RECORD = pathlib.Path(__file__).parent / "snapshot_loops.json"
 
 
 @pytest.mark.parametrize("fuel,generated", [(40, 50), (150, 50), (400, 8)])
 def test_loop_detection_and_points_match_the_reference(fuel, generated):
+    cases = loop_cases(generated, generated)
+    got = loop_answers(cases, detect_simple_loop, observational_points, fuel)
     if (fuel, generated) == (400, 8):
+        got = tagged(got)
         expected = json.loads(LOOP_RECORD.read_text(encoding="utf-8"))
     else:
-        expected = loop_answers(ref_detect_simple_loop, ref_observational_points, fuel, generated)
-    got = loop_answers(detect_simple_loop, observational_points, fuel, generated)
+        expected = loop_answers(cases, ref_detect_simple_loop, ref_observational_points, fuel)
     assert len(got) == len(expected)
     for answer, reference in zip(got, expected):
-        assert answer == reference, answer["goal"]
-    assert sum(a["loop"] is not None for a in got) >= 3
+        assert answer == reference, answer[0]
+    assert sum(loop is not None for _, loop, _ in got) >= 3
 
 
 def test_hypothesis_contexts_match_the_reference():
