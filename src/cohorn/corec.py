@@ -177,7 +177,8 @@ def _find_closed_subtree(
     root, the least possible one, and the depth-first walk from there met
     no unexpanded node.  The full tree raises OverlapError on any node
     two clause heads match, and a prefix could miss that node, so prefixes
-    are tried only when no two heads unify.  Raises OverlapError."""
+    are tried only when `heads_overlap` rules that out.  Raises
+    OverlapError."""
     prefixes = () if env.heads_overlap() else TREE_PREFIXES
     for n in (*(n for n in prefixes if n < TREE_NODES), TREE_NODES):
         tree = build_tree(env, goal, depth, n)
@@ -285,7 +286,7 @@ def auto(
                 analysis=analysis,
                 steps=_trace_length(ev, cfg.fuel - fuel.remaining),
             )
-        except Stuck as ex:
+        except (Stuck, GuardViolation) as ex:
             return AutoReport(INCONCLUSIVE, lemmas=tuple(new_lemmas), reason=str(ex))
         except FuelExhausted:
             pass

@@ -35,7 +35,6 @@ from .syntax import (
     match,
     mk_eapp,
     render_atom,
-    unifiable,
 )
 
 
@@ -120,13 +119,20 @@ def index_key(atom: Atom):
 class _ClauseStore:
     """Append-only list of axiom and lemma entries with their name and
     (predicate, first-argument key) indexes.  Positions only grow, so every
-    prefix stays valid while later entries are appended."""
+    prefix stays valid while later entries are appended.
+
+    `overlap_from` is the least size at which two heads of one predicate
+    share a key, or a head keyed None meets another head of its predicate,
+    or None while neither has happened.  Heads with distinct keys cannot
+    match one atom (`index_key`), so below that size no atom matches two
+    heads."""
 
     def __init__(self, entries=()):
         self.entries: list[Entry] = []
         self.positions: dict[str, int] = {}
         self.buckets: dict[tuple, list[int]] = {}
-        self.overlaps: dict[int, bool] = {}  # heads_overlap by size
+        self.preds: set[str] = set()
+        self.overlap_from: Optional[int] = None
         self.kept: dict[tuple, object] = {}  # see `AxiomEnv.matching`
         for e in entries:
             self.append(e)
@@ -136,7 +142,15 @@ class _ClauseStore:
         self.entries.append(entry)
         self.positions[entry.name] = pos
         head = entry.formula.head
-        self.buckets.setdefault((head.pred, index_key(head)), []).append(pos)
+        pred, key = head.pred, index_key(head)
+        if self.overlap_from is None and (
+            pred in self.preds
+            if key is None
+            else (pred, key) in self.buckets or (pred, None) in self.buckets
+        ):
+            self.overlap_from = pos + 1
+        self.preds.add(pred)
+        self.buckets.setdefault((pred, key), []).append(pos)
 
     def bucket(self, pred: str, key, size: int, low: int = 0) -> list[int]:
         """Positions from `low` below `size` filed under (pred, key), ascending."""
@@ -236,24 +250,11 @@ class AxiomEnv:
         return self._store.entries[: self._size]
 
     def heads_overlap(self) -> bool:
-        """Whether some atom matches two axiom or lemma heads, so that
-        `build_tree` may raise OverlapError somewhere.  Computed on first
-        use and kept per store and size.  Only pairs within one bucket, or
-        with the predicate's wildcard bucket, are unified: heads with
-        distinct keys cannot match one atom."""
-        store, n = self._store, self._size
-        if n not in store.overlaps:
-            heads = {
-                k: [store.entries[p].formula.head for p in store.bucket(*k, n)]
-                for k in store.buckets
-            }
-            store.overlaps[n] = any(
-                unifiable(h, g)
-                for (pred, key), found in heads.items()
-                for i, h in enumerate(found)
-                for g in found[:i] + (heads.get((pred, None), []) if key else [])
-            )
-        return store.overlaps[n]
+        """Whether some atom may match two axiom or lemma heads, so that
+        `build_tree` may raise OverlapError somewhere: the store's
+        `overlap_from`, set when a clause is stored, is at most the size."""
+        at = self._store.overlap_from
+        return at is not None and at <= self._size
 
     def matching(self, goal: Atom) -> list[tuple[Entry, dict]]:
         """(entry, sigma) for each axiom and lemma whose head matches `goal`,

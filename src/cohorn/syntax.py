@@ -282,40 +282,23 @@ Subst = dict[str, Term]
 
 
 def apply_term(s: Subst, t: Term) -> Term:
+    """t under s; a ground application is returned as it is (`App.ground`)."""
     if isinstance(t, Var):
         return s.get(t.name, t)
-    if isinstance(t, App):
+    if isinstance(t, App) and not t.ground():
         return App(apply_term(s, t.fun), apply_term(s, t.arg))
     return t
 
 
 def apply(s: Subst, x):
-    """Simultaneous capture-free substitution over a term, atom, Horn
-    formula or mixed term."""
+    """Simultaneous substitution over a term, atom or Horn formula."""
     if isinstance(x, (Var, Const, Eigen, App)):
         return apply_term(s, x)
     if isinstance(x, Atom):
         return Atom(x.pred, tuple(apply_term(s, a) for a in x.args))
     if isinstance(x, HornFormula):
         return HornFormula(tuple(apply(s, b) for b in x.body), apply(s, x.head))
-    if isinstance(x, MAtom):
-        return MAtom(apply(s, x.atom))
-    if isinstance(x, EApp):
-        return EApp(apply(s, x.fun), apply(s, x.arg))
-    if isinstance(x, ELam):
-        return ELam(x.binder, apply(s, x.body))
-    if isinstance(x, EMu):
-        return EMu(x.binder, apply(s, x.body))
-    return x
-
-
-def compose(s2: Subst, s1: Subst) -> Subst:
-    """s2 after s1: apply(compose(s2, s1), t) == apply(s2, apply(s1, t))."""
-    out = {x: apply_term(s2, t) for x, t in s1.items()}
-    for x, t in s2.items():
-        if x not in out:
-            out[x] = t
-    return out
+    raise TypeError(f"no terms in {type(x).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -417,48 +400,6 @@ def compile_apply(atoms: tuple[Atom, ...]):
     """A function equal to `lambda s: tuple(apply(s, a) for a in atoms)`."""
     parts = [(a.pred, [_compile_term(t) for t in a.args]) for a in atoms]
     return lambda s: tuple([Atom(p, tuple([f(s) for f in fs])) for p, fs in parts])
-
-
-def unifiable(a: Atom, b: Atom) -> bool:
-    """Whether some atom is an instance of both `a` and `b`, whose
-    variables are kept apart: a variable is bound per side, as (side, name).
-    A variable is never bound to a term it occurs in, which also keeps the
-    walk from looping."""
-    if a.pred != b.pred or len(a.args) != len(b.args):
-        return False
-    binds: dict = {}
-
-    def walk(side, t):
-        while isinstance(t, Var) and (side, t.name) in binds:
-            side, t = binds[(side, t.name)]
-        return side, t
-
-    def occurs(var, side, t) -> bool:
-        stack = [(side, t)]
-        while stack:
-            side, t = walk(*stack.pop())
-            if isinstance(t, Var):
-                if (side, t.name) == var:
-                    return True
-            elif isinstance(t, App):
-                stack += ((side, t.fun), (side, t.arg))
-        return False
-
-    stack = [((0, s), (1, t)) for s, t in zip(a.args, b.args)]
-    while stack:
-        (sa, ta), (sb, tb) = (walk(*p) for p in stack.pop())
-        if isinstance(tb, Var) and not isinstance(ta, Var):
-            (sa, ta), (sb, tb) = (sb, tb), (sa, ta)
-        if isinstance(ta, Var):
-            if (sa, ta) != (sb, tb):
-                if occurs((sa, ta.name), sb, tb):
-                    return False
-                binds[(sa, ta.name)] = (sb, tb)
-        elif isinstance(ta, App) and isinstance(tb, App):
-            stack += (((sa, ta.fun), (sb, tb.fun)), ((sa, ta.arg), (sb, tb.arg)))
-        elif isinstance(ta, App) or isinstance(tb, App) or ta != tb:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -632,13 +632,26 @@ def test_json_steps_replay_only_what_the_search_leaves_open(corpus, tmp_path, mo
     assert [render_atom(a) for a in calls] == ["Eq (Mu HLam Unit)", "Eq (Mu H1 H2 Unit)"]
 
 
+def run_at_the_default_limit(code: str) -> list[str]:
+    """The words `code` prints in a child, because `cli.main` raises this
+    interpreter's recursion limit."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys\nassert sys.getrecursionlimit() <= 1000\n" + code],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.split()
+
+
 def test_json_steps_of_a_deep_chain_need_no_recursion_limit():
-    # in a child, because `cli.main` raises this interpreter's limit
     code = f"""
-import json, sys
+import json
 from cohorn.cli import RunConfig, Session, emit_json
 from cohorn.parser import parse_module
-assert sys.getrecursionlimit() <= 1000
 cfg = RunConfig(path="chain.asl", fuel=20_010)
 session = Session(parse_module({nat_chain(10_000)!r}), cfg)
 session.load_checks()
@@ -646,16 +659,22 @@ session.process()
 (goal,) = json.loads(emit_json(session, cfg, 0))["goals"]
 print(goal["outcome"], goal["steps"])
 """
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": src},
-        timeout=120,
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["DirectlyProven", "10001"]
+    assert run_at_the_default_limit(code) == ["DirectlyProven", "10001"]
+
+
+def test_a_deep_ground_lemma_needs_no_recursion_limit(tmp_path):
+    # `prove_horn` substitutes into the ground head, which stays as it is;
+    # 3,000 deep, because matching the cohypothesis costs O(depth) per step
+    path = tmp_path / "lemma.asl"
+    path.write_text(nat_chain(3_000).replace("auto Eq", "lemma Eq"), encoding="utf-8")
+    code = f"""
+import json
+from cohorn.cli import RunConfig, run
+code, out, _ = run(RunConfig(path={str(path)!r}, json=True))
+(goal,) = json.loads(out)["goals"]
+print(code, goal["declared"], goal["steps"])
+"""
+    assert run_at_the_default_limit(code) == ["0", "lemma", "3001"]
 
 
 def test_benchmark_tracer_bindings_resolve(corpus):

@@ -20,7 +20,15 @@ from cohorn.corec import (
 )
 from cohorn.evidence import hnf, type_check
 from cohorn.loopdetect import find_critical_triples
-from cohorn.resolve import AxiomEnv, Stuck, axiom, build_tree, lemma, resolve
+from cohorn.resolve import (
+    AxiomEnv,
+    Stuck,
+    axiom,
+    build_tree,
+    cohypothesis,
+    lemma,
+    resolve,
+)
 from cohorn.syntax import (
     App,
     Atom,
@@ -40,7 +48,15 @@ from cohorn.syntax import (
     pair,
     spine_evidence,
 )
-from conftest import CORPUS, eq, random_loop_goal, random_looping_env
+from conftest import (
+    CORPUS,
+    eq,
+    random_loop_goal,
+    random_looping_env,
+    random_sharing_corec,
+    random_sharing_env,
+    random_sharing_term,
+)
 
 Int, Unit, Mu = Const("Int"), Const("Unit"), Const("Mu")
 x = Var("x")
@@ -248,6 +264,26 @@ def test_auto_stuck_goal_is_inconclusive(phi_pair):
     report = auto(phi_pair, fact(eq(Const("Bool"))))
     assert report.outcome == INCONCLUSIVE
     assert "Bool" in report.reason
+
+
+def test_auto_reports_an_unguarded_cohypothesis():
+    report = auto(AxiomEnv([cohypothesis("r", fact(eq(x)))]), fact(eq(Int)))
+    assert report.outcome == INCONCLUSIVE
+    assert report.reason == (
+        "coinductive hypothesis matches Eq Int only at an unguarded position"
+    )
+
+
+def test_auto_reports_with_assumptions_in_scope():
+    # a caller's cohypothesis and hypotheses stay in scope in every round
+    unguarded = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        work = random_sharing_corec(rng, random_sharing_env(rng))
+        goal = eq(random_sharing_term(rng, rng.randint(0, 6)))
+        report = auto(work, fact(goal), ProofConfig(fuel=400))
+        unguarded += report.reason.endswith("only at an unguarded position")
+    assert unguarded >= 2
 
 
 def test_auto_is_total_on_tiny_budgets(phi_d, phi_hbush, monkeypatch):

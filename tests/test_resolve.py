@@ -56,7 +56,6 @@ from cohorn.syntax import (
     pair,
     render_atom,
     render_evidence,
-    unifiable,
 )
 from conftest import (
     SHARING_CLAUSES,
@@ -469,35 +468,52 @@ def test_clause_index_agrees_with_brute_force_scan(monkeypatch):
     assert hits > 1000
 
 
-def test_heads_overlap_is_the_pairwise_unification_scan():
+def brute_overlap(heads: list[Atom]) -> bool:
+    """Two heads of one predicate with equal keys, or one of them keyed None."""
+    keyed = [(h.pred, index_key(h)) for h in heads]
+    return any(
+        p == q and (k == l or k is None or l is None)
+        for i, (p, k) in enumerate(keyed)
+        for q, l in keyed[:i]
+    )
+
+
+def test_heads_overlap_is_the_index_key_rule():
     rng = random.Random(808)
     kinds = Counter()
     for _ in range(600):
-        size = rng.randint(1, 5)
-        heads = [random_index_head(rng, ["x", "y", "f", "a"]) for _ in range(size)]
-        env = AxiomEnv(axiom(f"K{i}", fact(h)) for i, h in enumerate(heads[:2]))
-        for i, h in enumerate(heads[2:], start=2):  # a shared store
-            env = env.extended(axiom(f"K{i}", fact(h)))
-        expected = any(
-            unifiable(h, g) for i, h in enumerate(heads) for g in heads[:i]
-        )
-        assert env.heads_overlap() == expected
-        kinds[expected] += 1
-        if not expected:
-            # no goal matches two heads, so no tree can raise OverlapError
-            for _ in range(10):
-                _unique_clause(env, random_index_goal(rng, heads))
-    assert min(kinds.values()) >= 100, kinds
+        heads = [random_index_head(rng, ["x", "y", "f", "a"]) for _ in range(5)]
+        envs = [AxiomEnv()]
+        for i, h in enumerate(heads):  # one shared store
+            envs.append(envs[-1].extended(axiom(f"K{i}", fact(h))))
+        k = rng.randint(0, 4)  # a branch at size k copies the store
+        branch = [envs[k]]
+        for i, h in enumerate(random_index_head(rng, ["x", "y"]) for _ in range(3)):
+            branch.append(branch[-1].extended(axiom(f"B{i}", fact(h))))
+        assert branch[1]._store is not envs[k]._store
+        for env in envs + branch:  # at every size, after the branch too
+            clause_heads = [e.formula.head for e in env.clauses()]
+            expected = brute_overlap(clause_heads)
+            assert env.heads_overlap() == expected
+            kinds[expected] += 1
+            if not expected:
+                # no goal matches two heads, so no tree can raise OverlapError
+                for _ in range(3):
+                    _unique_clause(env, random_index_goal(rng, clause_heads))
+    assert min(kinds.values()) >= 1000, kinds
 
 
 def test_heads_overlap_is_kept_per_store_and_size():
-    env = AxiomEnv([axiom("K0", fact(Atom("P", (Const("A"),))))])
-    wider = env.extended(axiom("K1", fact(Atom("P", (Var("x"),)))))
+    P = lambda t: Atom("P", (t,))
+    env = AxiomEnv([axiom("K0", fact(P(Const("A"))))])
+    wider = env.extended(axiom("K1", fact(P(Var("x")))))
     assert not env.heads_overlap() and wider.heads_overlap()
-    assert env._store is wider._store
-    assert env._store.overlaps == {1: False, 2: True}
-    other = env.extended(axiom("K2", fact(Atom("P", (Const("B"),)))))  # a copy
+    assert env._store is wider._store and env._store.overlap_from == 2
+    other = env.extended(axiom("K2", fact(P(Const("B")))))  # a copy
     assert other._store is not env._store and not other.heads_overlap()
+    again = env.extended(axiom("K3", fact(P(Const("A")))))  # another copy
+    assert again.heads_overlap() and not other.heads_overlap()
+    assert [e._store.overlap_from for e in (wider, other, again)] == [2, None, 2]
 
 
 def test_branched_snapshots_are_isolated(monkeypatch):

@@ -15,6 +15,7 @@ from cohorn.syntax import (
     ELam,
     EMu,
     EVar,
+    MAtom,
     PredicateMismatch,
     Var,
     COMPILE_DEPTH,
@@ -22,9 +23,9 @@ from cohorn.syntax import (
     anti_unify,
     anti_unify_all,
     apply,
+    apply_term,
     compile_apply,
     compile_match,
-    compose,
     free_vars,
     match,
     mk_app,
@@ -33,7 +34,6 @@ from cohorn.syntax import (
     render_evidence,
     render_term,
     symbol_multiset,
-    unifiable,
     var_multiset,
 )
 from conftest import (
@@ -169,13 +169,17 @@ def test_apply_twice_squares_the_pair_substitution():
     assert twice == eq(mk_app(Mu, HPTree, pair(pair(x, x), pair(x, x))))
 
 
-def test_apply_composition_on_disjoint_domains():
-    rng = random.Random(17)
-    for _ in range(200):
-        t = random_term(rng, 3, ["x", "y"])
-        s1 = {"x": random_term(rng, 2, [])}
-        s2 = {"y": random_term(rng, 2, [])}
-        assert apply(s2, apply(s1, t)) == apply(compose(s2, s1), t)
+def test_apply_term_returns_a_ground_application_itself():
+    ground = mk_app(Mu, HPTree, pair(Int, Int))
+    assert apply_term({"x": Int}, ground) is ground
+    once = apply_term({"x": Int}, App(ground, x))
+    assert once == App(ground, Int) and once.fun is ground
+
+
+def test_apply_refuses_evidence():
+    for e in (EAxiom("K"), EApp(EAxiom("K"), EVar("b")), MAtom(eq(x))):
+        with pytest.raises(TypeError):
+            apply({"x": Int}, e)
 
 
 # ---------------------------------------------------------------------------
@@ -492,55 +496,3 @@ def test_pickled_terms_carry_no_groundness_flag():
         copy = pickle.loads(pickle.dumps(obj))
         assert copy == obj and "_ground" not in vars(copy)
         assert copy.ground() == obj.ground()
-
-
-# ---------------------------------------------------------------------------
-# two-way unification of renamed-apart atoms
-
-
-def reference_unifiable(a: Atom, b: Atom) -> bool:
-    """Robinson's algorithm, applying each binding to the whole problem,
-    after renaming b's variables apart from a's."""
-    b = apply({v: Var(v + "'") for v in free_vars(b)}, b)
-    if a.pred != b.pred or len(a.args) != len(b.args):
-        return False
-    eqs = list(zip(a.args, b.args))
-    while eqs:
-        s, t = eqs.pop()
-        if s == t:
-            continue
-        if isinstance(t, Var) and not isinstance(s, Var):
-            s, t = t, s
-        if isinstance(s, Var):
-            if s.name in free_vars(t):
-                return False
-            eqs = [(apply({s.name: t}, l), apply({s.name: t}, r)) for l, r in eqs]
-        elif isinstance(s, App) and isinstance(t, App):
-            eqs += [(s.fun, t.fun), (s.arg, t.arg)]
-        else:
-            return False
-    return True
-
-
-def test_unifiable_agrees_with_robinsons_algorithm():
-    rng = random.Random(17)
-    kinds = Counter()
-    for _ in range(3000):
-        a = random_index_head(rng, ["x", "y", "f", "a"])
-        b = random_index_head(rng, ["x", "y", "f", "a"])
-        if rng.random() < 0.3:  # the same shape with other variables
-            b = apply({v: Var(rng.choice("xyfa")) for v in free_vars(a)}, a)
-        got = unifiable(a, b)
-        assert got == unifiable(b, a) == reference_unifiable(a, b), (a, b)
-        kinds[got] += 1
-    assert min(kinds.values()) >= 300, kinds
-
-
-def test_unifiable_keeps_the_two_sides_apart():
-    P = lambda *args: Atom("P", args)
-    F = Const("F")
-    assert unifiable(P(x, App(F, x)), P(App(F, x), x)) is False  # x = F (F x)
-    assert unifiable(P(x, x), P(App(F, y), y)) is False
-    assert unifiable(P(x, App(F, y)), P(y, x))  # the sides' x and y differ
-    assert unifiable(P(x, x), P(y, Int))
-    assert not unifiable(P(x), Atom("Q", (x,))) and not unifiable(P(x), P(x, x))
