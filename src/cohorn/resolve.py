@@ -32,6 +32,7 @@ from .syntax import (
     Var,
     compile_apply,
     compile_match,
+    free_vars,
     match,
     mk_eapp,
     render_atom,
@@ -66,6 +67,11 @@ class Entry:
     def matcher(self):
         """The head by `compile_match`, made on first use and never pickled."""
         return compile_match(self.formula.head)
+
+    @cached_property
+    def ground(self) -> bool:
+        """Whether the head has no variable, so it matches only itself."""
+        return not free_vars(self.formula.head)
 
     @cached_property
     def builder(self):
@@ -277,7 +283,11 @@ class AxiomEnv:
             new = [store.entries[p] for p in new]
             pairs += tuple((e, e.matcher) for e in new)
             store.kept[pred, key] = n, ps, pairs
-        pairs = pairs[: bisect_left(ps, n)]
+        elif done > n:
+            pairs = pairs[: bisect_left(ps, n)]
+        if len(pairs) == 1:  # a lone candidate, the common case
+            s = pairs[0][1](goal)
+            return [] if s is None else [(pairs[0][0], s)]
         return [(e, s) for e, m in reversed(pairs) if (s := m(goal)) is not None]
 
     def __iter__(self):
@@ -347,9 +357,8 @@ def candidates(env: AxiomEnv, goal: Atom, depth: int):
     one axiom or lemma application, then axioms and lemmas newest first.
     Also a flag that is set when a cohypothesis matched but was withheld by
     the guardedness restriction.  With no assumptions in scope this is
-    plain resolution's order."""
-    if not env.assumptions:
-        return env.matching(goal), False
+    plain resolution's order, which `resolve` asks `AxiomEnv.matching` for
+    directly."""
     hyps = []
     cohyps = []
     blocked = False
@@ -358,7 +367,11 @@ def candidates(env: AxiomEnv, goal: Atom, depth: int):
             if e.formula.head == goal:
                 hyps.append((e, {}))
         else:
-            s = match(e.formula.head, goal)
+            head = e.formula.head
+            if e.ground:  # rejected by its cached hash, not by a walk
+                s = {} if hash(head) == hash(goal) and head == goal else None
+            else:
+                s = match(head, goal)
             if s is not None:
                 if depth >= 1:
                     cohyps.append((e, s))
@@ -392,10 +405,11 @@ def resolve(env: AxiomEnv, goal: Atom, fuel: Fuel | int = 10_000) -> Evidence:
     """Prove an atomic goal by term-matching resolution, corecursively when
     `env` holds hypotheses or a coinductive hypothesis.
 
-    Clause choice follows `candidates` with chronological backtracking, one
-    fuel unit per clause application.  Raises FuelExhausted when the budget
-    runs out, Stuck when every alternative fails, and GuardViolation when
-    failure is due only to the guardedness restriction.
+    Clause choice follows `candidates`, or `AxiomEnv.matching` alone with no
+    assumptions in scope, with chronological backtracking, one fuel unit
+    per clause application.  Raises FuelExhausted when the budget runs out,
+    Stuck when every alternative fails, and GuardViolation when failure is
+    due only to the guardedness restriction.
 
     The search state is immutable, so a choice point stores it in O(1):
     `todo` links pending work, leftmost first: subgoals (atom, depth, rest)
@@ -434,11 +448,12 @@ def resolve(env: AxiomEnv, goal: Atom, fuel: Fuel | int = 10_000) -> Evidence:
     """
     if isinstance(fuel, int):
         fuel = Fuel(fuel)
+    plain, matching = not env.assumptions, env.matching
     todo = (goal, 0, None)
     done = None
     choices: list[tuple] = []
     stuck_at: Optional[Atom] = None
-    saw_blocked = False
+    saw_blocked = blocked = False
     applied = 0
     next_check = FIRST_CYCLE_CHECK
     # `applied` when a choice point was last pushed, a dead end met or a
@@ -474,8 +489,11 @@ def resolve(env: AxiomEnv, goal: Atom, fuel: Fuel | int = 10_000) -> Evidence:
             applied = end
             done = (ev, done)
             continue
-        cands, blocked = candidates(env, atom, depth)
-        saw_blocked = saw_blocked or blocked
+        if plain:
+            cands = matching(atom)
+        else:
+            cands, blocked = candidates(env, atom, depth)
+            saw_blocked = saw_blocked or blocked
         if blocked or len(cands) != 1:
             last_event = applied
         i = 0
@@ -494,11 +512,12 @@ def resolve(env: AxiomEnv, goal: Atom, fuel: Fuel | int = 10_000) -> Evidence:
                 choices.append((cands, i + 1, atom, depth, todo, done))
         entry, sigma = cands[i]
         fuel.spend()
-        ref, body = entry.instantiate(sigma)
+        ref, build = entry.builder
+        body = build(sigma)
         todo = (ref, len(body), atom, depth, applied, todo)
-        inc = 1 if entry.kind in CLAUSE_KINDS else 0
+        child = depth + 1 if plain or entry.kind in CLAUSE_KINDS else depth
         for b in reversed(body):
-            todo = (b, depth + inc, todo)
+            todo = (b, child, todo)
         applied += 1
         if applied == next_check:
             next_check *= 2

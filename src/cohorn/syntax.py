@@ -48,7 +48,7 @@ class Eigen:
 class _CachedHash:
     """Mixin for frozen dataclasses that keeps the field-tuple hash after
     the first call, so hashing a term that shares subterms already hashed
-    costs only its new nodes.  The first call fills the caches of uncached
+    costs only its new nodes.  `App` fills the caches of its uncached
     subterms bottom-up with an explicit stack, so a deep term costs no deep
     C-level recursion.  The cache stays out of pickled and copied state:
     string hashes differ between processes, and so does `App`'s groundness
@@ -58,17 +58,8 @@ class _CachedHash:
 
     def __hash__(self):
         h = self._hash
-        if h is None:  # hash each node once its App children are hashed
-            stack = [self]
-            while stack:
-                node = stack[-1]
-                for t in node.args if type(node) is Atom else node._key():
-                    if type(t) is App and t._hash is None:
-                        stack.append(t)
-                        break
-                else:
-                    stack.pop()
-                    object.__setattr__(node, "_hash", h := hash(node._key()))
+        if h is None:
+            object.__setattr__(self, "_hash", h := hash(self._key()))
         return h
 
     def __getstate__(self):
@@ -83,8 +74,28 @@ class App(_CachedHash):
     fun: "Term"
     arg: "Term"
 
-    __hash__ = _CachedHash.__hash__  # dataclass would replace an inherited one
     _ground = None
+
+    def __hash__(self):  # defined here, or dataclass would replace it
+        """hash((fun, arg)), one tuple hash when the children are hashed; a
+        node waits on `stack` while a child is an unhashed App."""
+        h = self._hash
+        if h is None:
+            stack, node = [], self
+            while True:
+                fun, arg = node.fun, node.arg
+                if fun.__class__ is App and fun._hash is None:
+                    stack.append(node)
+                    node = fun
+                elif arg.__class__ is App and arg._hash is None:
+                    stack.append(node)
+                    node = arg
+                else:
+                    object.__setattr__(node, "_hash", h := hash((fun, arg)))
+                    if not stack:
+                        return h
+                    node = stack.pop()
+        return h
 
     def _key(self):
         return self.fun, self.arg
@@ -279,15 +290,31 @@ def spine_evidence(e: Mixed) -> tuple[Mixed, list[Mixed]]:
 # Substitution
 
 Subst = dict[str, Term]
+COMPILE_DEPTH = 32  # recursion depth of `apply_term` and of compiled clauses
 
 
-def apply_term(s: Subst, t: Term) -> Term:
-    """t under s; a ground application is returned as it is (`App.ground`)."""
-    if isinstance(t, Var):
+def apply_term(s: Subst, t: Term, depth: int = 0) -> Term:
+    """t under s; a ground application is returned as it is (`App.ground`).
+    Past COMPILE_DEPTH nested calls, the nodes left wait on `stack`."""
+    if t.__class__ is Var:
         return s.get(t.name, t)
-    if isinstance(t, App) and not t.ground():
-        return App(apply_term(s, t.fun), apply_term(s, t.arg))
-    return t
+    if t.__class__ is not App or t.ground():
+        return t
+    if depth < COMPILE_DEPTH:
+        return App(apply_term(s, t.fun, depth + 1), apply_term(s, t.arg, depth + 1))
+    out, stack = [], [t]
+    while stack:
+        t = stack.pop()
+        if t is None:  # the two newest results make an App
+            arg = out.pop()
+            out[-1] = App(out[-1], arg)
+        elif t.__class__ is Var:
+            out.append(s.get(t.name, t))
+        elif t.__class__ is App and not t.ground():
+            stack += (None, t.arg, t.fun)
+        else:
+            out.append(t)
+    return out[0]
 
 
 def apply(s: Subst, x):
@@ -340,9 +367,6 @@ def match(pattern: Atom, subject: Atom) -> Optional[Subst]:
     return {x: t for x, t in binds.items() if not (isinstance(t, Var) and t.name == x)}
 
 
-COMPILE_DEPTH = 32  # past this depth a compiled head calls match_term
-
-
 def _compile_pattern(p: Term, seen: set[str], depth: int = 0):
     """(subject, binds) -> bool like `match_term`; x bound to x sets key None."""
     if p.__class__ is Var:
@@ -371,34 +395,48 @@ def compile_match(head: Atom):
     """A function equal to `lambda goal: match(head, goal)`."""
     pred, n, seen = head.pred, len(head.args), set()
     parts = [_compile_pattern(p, seen) for p in head.args]
+    first, second = parts if n == 2 else (None, None)
 
     def matcher(goal: Atom) -> Optional[Subst]:
-        if goal.pred != pred or len(goal.args) != n:
+        args = goal.args
+        if goal.pred != pred or len(args) != n:
             return None
         b: dict = {}
-        for m, t in zip(parts, goal.args):
-            if not m(t, b):
+        if n == 2:  # a binary head needs no loop
+            if not (first(args[0], b) and second(args[1], b)):
                 return None
-        if b.pop(None, False):
-            return {x: t for x, t in b.items() if t != Var(x)}
+        else:
+            for m, t in zip(parts, args):
+                if not m(t, b):
+                    return None
+        if None in b:
+            return {x: t for x, t in b.items() if x is not None and t != Var(x)}
         return b
 
     return matcher
 
 
-def _compile_term(t: Term):
+def _compile_term(t: Term, depth: int = 0):
     """s -> apply_term(s, t), sharing the ground subterms of t."""
     if t.__class__ is Var:
         return lambda s: s.get(t.name, t)
     if t.__class__ is not App or t.ground():
         return lambda s: t
-    fun, arg = _compile_term(t.fun), _compile_term(t.arg)
+    if depth == COMPILE_DEPTH:
+        return lambda s: apply_term(s, t)
+    fun, arg = [_compile_term(u, depth + 1) for u in (t.fun, t.arg)]
     return lambda s: App(fun(s), arg(s))
 
 
 def compile_apply(atoms: tuple[Atom, ...]):
     """A function equal to `lambda s: tuple(apply(s, a) for a in atoms)`."""
     parts = [(a.pred, [_compile_term(t) for t in a.args]) for a in atoms]
+    if len(parts) == 1 and len(parts[0][1]) == 1:
+        ((p, (f,)),) = parts
+        return lambda s: (Atom(p, (f(s),)),)
+    if len(parts) == 1 and len(parts[0][1]) == 2:
+        ((p, (f, g)),) = parts
+        return lambda s: (Atom(p, (f(s), g(s))),)
     return lambda s: tuple([Atom(p, tuple([f(s) for f in fs])) for p, fs in parts])
 
 

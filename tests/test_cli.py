@@ -663,18 +663,19 @@ print(goal["outcome"], goal["steps"])
 
 
 def test_a_deep_ground_lemma_needs_no_recursion_limit(tmp_path):
-    # `prove_horn` substitutes into the ground head, which stays as it is;
-    # 3,000 deep, because matching the cohypothesis costs O(depth) per step
+    # `prove_horn` substitutes into the ground head, which stays as it is,
+    # and `candidates` rejects each subgoal against the ground cohypothesis
+    # head by its cached hash, so the 10,001 steps cost no O(depth) match
     path = tmp_path / "lemma.asl"
-    path.write_text(nat_chain(3_000).replace("auto Eq", "lemma Eq"), encoding="utf-8")
+    path.write_text(nat_chain(10_000).replace("auto Eq", "lemma Eq"), encoding="utf-8")
     code = f"""
 import json
 from cohorn.cli import RunConfig, run
-code, out, _ = run(RunConfig(path={str(path)!r}, json=True))
+code, out, _ = run(RunConfig(path={str(path)!r}, json=True, fuel=20_010))
 (goal,) = json.loads(out)["goals"]
 print(code, goal["declared"], goal["steps"])
 """
-    assert run_at_the_default_limit(code) == ["0", "lemma", "3001"]
+    assert run_at_the_default_limit(code) == ["0", "lemma", "10001"]
 
 
 def test_benchmark_tracer_bindings_resolve(corpus):

@@ -1087,6 +1087,60 @@ def test_replay_makes_the_hptree_burn_linear(phi_hptree, corpus, monkeypatch, ca
     assert outputs[0] == outputs[1]
 
 
+def test_the_plain_burn_goes_through_every_hook(phi_d, monkeypatch):
+    # dz's burn takes the plain-environment path; it still spends fuel one
+    # `Fuel.spend` at a time, looks clauses up through `AxiomEnv.matching`
+    # and checks the path at 16, 32, ..., 8192 applications
+    calls = Counter()
+    matching, path_repeats = AxiomEnv.matching, resolve_module._path_repeats
+    checked = []
+
+    class Counted(Fuel):
+        def spend(self, n=1):
+            calls["spend"] += 1
+            super().spend(n)
+
+    def counted_matching(env, goal):
+        calls["matching"] += 1
+        return matching(env, goal)
+
+    def counted_path_repeats(todo):
+        checked.append(10_000 - fuel.remaining)
+        return path_repeats(todo)
+
+    monkeypatch.setattr(AxiomEnv, "matching", counted_matching)
+    monkeypatch.setattr(resolve_module, "_path_repeats", counted_path_repeats)
+    fuel = Counted(10_000)
+    with pytest.raises(FuelExhausted):
+        resolve(phi_d, Atom("D", (Const("Z"), Const("Z"))), fuel)
+    assert fuel.remaining == -1
+    assert calls == {"spend": 10_001, "matching": 10_001}
+    assert checked == [2**k for k in range(4, 14)]
+
+
+def test_a_ground_cohypothesis_is_matched_by_its_hash(monkeypatch):
+    # a cohypothesis head with no variable matches only an equal atom, so
+    # `candidates` compares hashes and calls no `match`; one with a
+    # variable still goes through `match`
+    S, Z = Const("S"), Const("Z")
+    head = eq(mk_app(S, mk_app(S, Z)))
+    calls = []
+    monkeypatch.setattr(resolve_module, "match", lambda p, t: calls.append(p) or match(p, t))
+    base = axioms_env(["Eq Z", "Eq x => Eq (S x)"])  # matched by `match` while cold
+    env = base.extended(cohypothesis("r", fact(head)))
+    for goal in (head, eq(mk_app(S, mk_app(S, Z))), eq(mk_app(S, Z)), eq(Var("x"))):
+        hit = match(head, goal) is not None
+        for depth in (0, 1):
+            cands, blocked = candidates(env, goal, depth)
+            assert (cands[:1] == [(env.lookup("r"), {})]) == (hit and depth == 1)
+            assert blocked == (hit and depth == 0)
+    assert not any(p is head for p in calls)
+    open_head = eq(mk_app(S, Var("x")))
+    open_env = base.extended(cohypothesis("r", fact(open_head)))
+    assert [e.name for e, _ in candidates(open_env, head, 1)[0]][:1] == ["r"]
+    assert sum(p is open_head for p in calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # evidence soundness: what resolve returns type-checks
 

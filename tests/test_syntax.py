@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from cohorn.resolve import axiom
 from cohorn.syntax import (
     App,
     Atom,
@@ -15,6 +16,7 @@ from cohorn.syntax import (
     ELam,
     EMu,
     EVar,
+    HornFormula,
     MAtom,
     PredicateMismatch,
     Var,
@@ -358,18 +360,29 @@ def field_tuple_hash(t) -> int:
     return hash(t)
 
 
-def fresh_copy(t):
-    if isinstance(t, Atom):
-        return Atom(t.pred, tuple(fresh_copy(u) for u in t.args))
-    return App(fresh_copy(t.fun), fresh_copy(t.arg)) if isinstance(t, App) else t
+def fresh_copy(t, copies: dict):
+    """A new copy of t, each node copied once, its sharing kept: `copies`
+    maps the id of each original node to its copy."""
+    if id(t) not in copies and isinstance(t, (Atom, App)):
+        if isinstance(t, Atom):
+            copies[id(t)] = Atom(t.pred, tuple(fresh_copy(u, copies) for u in t.args))
+        else:
+            copies[id(t)] = App(fresh_copy(t.fun, copies), fresh_copy(t.arg, copies))
+    return copies.get(id(t), t)
 
 
 def test_hash_fast_path_keeps_the_field_tuple_hashes():
     # the first hash of a node walks its unhashed children, or takes the
-    # fast path when they are all hashed; both must give the same value
+    # fast path when they are all hashed; both must give the same value,
+    # whichever nodes of one term were hashed first
     rng = random.Random(41)
-    for _ in range(1500):
+    for k in range(1500):
         atom = random_atom(rng, rng.randint(0, 3), ["x", "y"])
+        if k % 3 == 0:  # as in a burn: new nodes wrap old ones, shared twice
+            t = App(Const("F"), Var("x"))
+            for _ in range(rng.randint(1, 20)):
+                t = App(Const("S"), t) if rng.random() < 0.5 else App(t, random_term(rng, 1, ["x"]))
+            atom = Atom("P", (t, t.arg, *atom.args))
         expected = field_tuple_hash(atom)
         nodes = [atom]
         for node in nodes:
@@ -377,16 +390,18 @@ def test_hash_fast_path_keeps_the_field_tuple_hashes():
             if isinstance(node, App):
                 nodes += [u for u in (node.fun, node.arg) if isinstance(u, App)]
         for order in (nodes, nodes[::-1], rng.sample(nodes, len(nodes))):
-            copies = {id(n): fresh_copy(n) for n in order}
+            copies: dict = {}
+            top = fresh_copy(atom, copies)
             for n in order:  # parents first, children first, or mixed
                 c = copies[id(n)]
                 assert hash(c) == hash(c._key()) == field_tuple_hash(c)
-        top = fresh_copy(atom)
-        assert hash(top) == hash(top._key()) == expected
+            assert hash(top) == expected
 
 
 def test_fresh_deep_terms_hash_at_the_default_recursion_limit():
-    # in a child, since `cohorn.cli.main` raises this interpreter's limit
+    # in a child, since `cohorn.cli.main` raises this interpreter's limit;
+    # the second term is built newest first, some nodes hashed as they are
+    # built, so hashing it newest first meets unhashed runs of every length
     code = """
 import sys
 from cohorn.syntax import App, Atom, Const, Var
@@ -396,17 +411,17 @@ for _ in range(16_000):
     chain = App(Const("S"), chain)
 atom = Atom("Eq", (chain, chain.arg))
 assert hash(atom) == hash(("Eq", (chain, chain.arg))) and hash(chain) == hash(chain._key())
+t, nodes = Var("x"), []
+for i in range(10_000):
+    t = App(Const("S"), t) if i % 3 else App(t, Const("Z"))
+    nodes.append(t)
+    if i % 97 == 0:
+        hash(t)
+for n in reversed(nodes):
+    assert hash(n) == hash((n.fun, n.arg))
 print("ok")
 """
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": str(CORPUS.parent.parent / "src")},
-        timeout=120,
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout == "ok\n"
+    assert run_at_the_default_limit(code) == "ok\n"
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +458,97 @@ def test_compiled_heads_and_bodies_agree_with_match_and_apply():
             sigma = sigma or {v: random_term(rng, 2, ["z"]) for v in free_vars(head)[:1]}
             assert build(sigma) == tuple(apply(sigma, b) for b in body)
     assert min(kinds.values()) >= 500, kinds
+
+
+def test_kernels_specialised_by_arity_agree_with_match_and_apply():
+    # heads of arity 0-3 and bodies of 0-3 atoms of arity 0-3: the binary
+    # matcher and the one-atom builders of arity 1 and 2 take their own paths
+    rng = random.Random(2020)
+    kinds = Counter()
+    for _ in range(3000):
+        head = random_atom(rng, rng.randint(0, 3), ["x", "y"])
+        if rng.random() < 0.3:  # non-linear: variables merged
+            head = apply({v: x for v in free_vars(head)}, head)
+        names = free_vars(head)
+        body = tuple(
+            Atom(rng.choice("PQ"), tuple(random_term(rng, 2, names) for _ in range(rng.randint(0, 3))))
+            for _ in range(rng.randint(0, 3))
+        )
+        entry = axiom("Ax", HornFormula(body, head))
+        goals = [
+            head,  # every variable bound to itself: the identity case
+            apply({v: rng.choice([Int, Var(v), Var("z")]) for v in names}, head),
+            apply({v: random_term(rng, 2, ["z"]) for v in names}, head),
+            apply({v: Var(v) if i else Int for i, v in enumerate(names)}, head),
+            Atom("Q", head.args),
+            Atom("P", head.args + (Int,)),
+        ]
+        for goal in goals:
+            got = entry.matcher(goal)
+            assert got == match(head, goal), (head, goal)
+            if got is not None:
+                kinds["identity" if names and not got else f"arity {len(head.args)}"] += 1
+                assert entry.builder[1](got) == tuple(apply(got, b) for b in body)
+        s = {v: random_term(rng, 2, ["x", "z"]) for v in names}
+        assert entry.builder[1](s) == tuple(apply(s, b) for b in body)
+        kinds[f"body {len(body)}"] += 1
+    assert min(kinds.values()) >= 300, kinds
+
+
+def test_substitution_past_the_recursion_depth_agrees_with_recursion():
+    # started at COMPILE_DEPTH, `apply_term` takes its explicit stack at once
+    rng = random.Random(33)
+    kinds = Counter()
+    for _ in range(2000):
+        t = random_term(rng, rng.randint(1, 6), ["x", "y", "z"])
+        s = {v: random_term(rng, 2, ["x"]) for v in rng.sample(["x", "y"], rng.randint(0, 2))}
+        got = apply_term(s, t, COMPILE_DEPTH)
+        assert got == apply_term(s, t) == scanned_apply(s, t)
+        kinds["same" if got is t else "rebuilt"] += 1
+    assert min(kinds.values()) >= 300, kinds
+
+
+def scanned_apply(s, t):
+    """t under s, rebuilding every application."""
+    if isinstance(t, App):
+        return App(scanned_apply(s, t.fun), scanned_apply(s, t.arg))
+    return s.get(t.name, t) if isinstance(t, Var) else t
+
+
+def test_deep_substitution_needs_no_deep_recursion():
+    # a variable at the bottom of 10,000 nested applications, through
+    # `apply_term` and through a compiled body capped at COMPILE_DEPTH
+    code = """
+import sys
+from cohorn.syntax import App, Atom, Const, Var, apply_term, compile_apply
+assert sys.getrecursionlimit() <= 1000
+
+def chain(t):
+    for i in range(10_000):
+        t = App(Const("S"), t) if i % 2 else App(t, Const("Z"))
+    return t
+
+s = {"x": App(Const("F"), Const("Int"))}
+t, expected = chain(Var("x")), chain(s["x"])
+assert apply_term(s, t) == expected
+assert compile_apply((Atom("P", (t,)),))(s) == (Atom("P", (expected,)),)
+print("ok")
+"""
+    assert run_at_the_default_limit(code) == "ok\n"
+
+
+def run_at_the_default_limit(code: str) -> str:
+    """stdout of `code` in a child interpreter, which keeps the default
+    recursion limit that `cohorn.cli.main` raises in this one."""
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(CORPUS.parent.parent / "src")},
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout
 
 
 # ---------------------------------------------------------------------------
