@@ -290,18 +290,15 @@ def spine_evidence(e: Mixed) -> tuple[Mixed, list[Mixed]]:
 # Substitution
 
 Subst = dict[str, Term]
-COMPILE_DEPTH = 32  # recursion depth of `apply_term` and of compiled clauses
 
 
-def apply_term(s: Subst, t: Term, depth: int = 0) -> Term:
+def apply_term(s: Subst, t: Term) -> Term:
     """t under s; a ground application is returned as it is (`App.ground`).
-    Past COMPILE_DEPTH nested calls, the nodes left wait on `stack`."""
+    The nodes left to rebuild wait on `stack`, so depth costs no recursion."""
     if t.__class__ is Var:
         return s.get(t.name, t)
     if t.__class__ is not App or t.ground():
         return t
-    if depth < COMPILE_DEPTH:
-        return App(apply_term(s, t.fun, depth + 1), apply_term(s, t.arg, depth + 1))
     out, stack = [], [t]
     while stack:
         t = stack.pop()
@@ -365,6 +362,9 @@ def match(pattern: Atom, subject: Atom) -> Optional[Subst]:
             return None
     # drop identity bindings so the result is idempotent
     return {x: t for x, t in binds.items() if not (isinstance(t, Var) and t.name == x)}
+
+
+COMPILE_DEPTH = 32  # past this depth a compiled clause calls match_term or apply_term
 
 
 def _compile_pattern(p: Term, seen: set[str], depth: int = 0):

@@ -3,6 +3,8 @@ generators used by the property suites."""
 
 import pathlib
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -125,6 +127,20 @@ def phi_d() -> AxiomEnv:
             axiom("K2", HornFormula((d(App(S, m), Z),), d(Z, m))),
         ]
     )
+
+
+def run_at_the_default_limit(code: str) -> str:
+    """stdout of `code` in a child interpreter, which keeps the default
+    recursion limit that `cohorn.cli.main` raises in this one."""
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys\nassert sys.getrecursionlimit() <= 1000\n" + code],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(CORPUS.parent.parent / "src")},
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout
 
 
 def best_time(fn, repeats=3):

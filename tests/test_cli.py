@@ -35,6 +35,7 @@ from conftest import (
     random_sharing_env,
     random_sharing_term,
     random_terminating_case,
+    run_at_the_default_limit,
 )
 
 BUSH_GOLDEN = """\
@@ -632,21 +633,6 @@ def test_json_steps_replay_only_what_the_search_leaves_open(corpus, tmp_path, mo
     assert [render_atom(a) for a in calls] == ["Eq (Mu HLam Unit)", "Eq (Mu H1 H2 Unit)"]
 
 
-def run_at_the_default_limit(code: str) -> list[str]:
-    """The words `code` prints in a child, because `cli.main` raises this
-    interpreter's recursion limit."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys\nassert sys.getrecursionlimit() <= 1000\n" + code],
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": src},
-        timeout=120,
-    )
-    assert out.returncode == 0, out.stderr
-    return out.stdout.split()
-
-
 def test_json_steps_of_a_deep_chain_need_no_recursion_limit():
     code = f"""
 import json
@@ -659,7 +645,7 @@ session.process()
 (goal,) = json.loads(emit_json(session, cfg, 0))["goals"]
 print(goal["outcome"], goal["steps"])
 """
-    assert run_at_the_default_limit(code) == ["DirectlyProven", "10001"]
+    assert run_at_the_default_limit(code).split() == ["DirectlyProven", "10001"]
 
 
 def test_a_deep_ground_lemma_needs_no_recursion_limit(tmp_path):
@@ -675,7 +661,7 @@ code, out, _ = run(RunConfig(path={str(path)!r}, json=True, fuel=20_010))
 (goal,) = json.loads(out)["goals"]
 print(code, goal["declared"], goal["steps"])
 """
-    assert run_at_the_default_limit(code) == ["0", "lemma", "10001"]
+    assert run_at_the_default_limit(code).split() == ["0", "lemma", "10001"]
 
 
 def test_benchmark_tracer_bindings_resolve(corpus):

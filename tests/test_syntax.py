@@ -1,7 +1,5 @@
 import pickle
 import random
-import subprocess
-import sys
 from collections import Counter
 
 import pytest
@@ -46,6 +44,7 @@ from conftest import (
     random_index_goal,
     random_index_head,
     random_term,
+    run_at_the_default_limit,
 )
 
 Int = Const("Int")
@@ -403,9 +402,7 @@ def test_fresh_deep_terms_hash_at_the_default_recursion_limit():
     # the second term is built newest first, some nodes hashed as they are
     # built, so hashing it newest first meets unhashed runs of every length
     code = """
-import sys
 from cohorn.syntax import App, Atom, Const, Var
-assert sys.getrecursionlimit() <= 1000
 chain = Var("x")
 for _ in range(16_000):
     chain = App(Const("S"), chain)
@@ -495,15 +492,15 @@ def test_kernels_specialised_by_arity_agree_with_match_and_apply():
     assert min(kinds.values()) >= 300, kinds
 
 
-def test_substitution_past_the_recursion_depth_agrees_with_recursion():
-    # started at COMPILE_DEPTH, `apply_term` takes its explicit stack at once
+def test_substitution_by_stack_agrees_with_a_recursive_rebuild():
+    # `apply_term` rebuilds with an explicit stack and keeps ground subterms
     rng = random.Random(33)
     kinds = Counter()
     for _ in range(2000):
         t = random_term(rng, rng.randint(1, 6), ["x", "y", "z"])
         s = {v: random_term(rng, 2, ["x"]) for v in rng.sample(["x", "y"], rng.randint(0, 2))}
-        got = apply_term(s, t, COMPILE_DEPTH)
-        assert got == apply_term(s, t) == scanned_apply(s, t)
+        got = apply_term(s, t)
+        assert got == scanned_apply(s, t)
         kinds["same" if got is t else "rebuilt"] += 1
     assert min(kinds.values()) >= 300, kinds
 
@@ -519,9 +516,7 @@ def test_deep_substitution_needs_no_deep_recursion():
     # a variable at the bottom of 10,000 nested applications, through
     # `apply_term` and through a compiled body capped at COMPILE_DEPTH
     code = """
-import sys
 from cohorn.syntax import App, Atom, Const, Var, apply_term, compile_apply
-assert sys.getrecursionlimit() <= 1000
 
 def chain(t):
     for i in range(10_000):
@@ -535,20 +530,6 @@ assert compile_apply((Atom("P", (t,)),))(s) == (Atom("P", (expected,)),)
 print("ok")
 """
     assert run_at_the_default_limit(code) == "ok\n"
-
-
-def run_at_the_default_limit(code: str) -> str:
-    """stdout of `code` in a child interpreter, which keeps the default
-    recursion limit that `cohorn.cli.main` raises in this one."""
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": str(CORPUS.parent.parent / "src")},
-        timeout=120,
-    )
-    assert out.returncode == 0, out.stderr
-    return out.stdout
 
 
 # ---------------------------------------------------------------------------
