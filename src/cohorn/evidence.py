@@ -15,12 +15,12 @@ from typing import Optional
 
 from .resolve import (
     AxiomEnv,
-    Cursor,
     Fuel,
     FuelExhausted,
     Path,
     StepMachine,
     iter_atoms,
+    subst_leaf,
 )
 from .syntax import (
     Atom,
@@ -144,17 +144,54 @@ def type_check(
 # Evidence reduction over mixed terms
 
 
-class EvReducer(Cursor):
+class EvReducer:
     """Leftmost-outermost evidence reduction over a mixed term.  A redex is
     a mu binder or a beta application; the walk enters applications only,
-    so it never descends under binders, and atoms are inert values."""
+    so it never descends under binders, and atoms are inert values.  The
+    cursor is a zipper: the focus and the applications above it, each with
+    the child taken (0 for `fun`, 1 for `arg`); `state()` zips it up in
+    O(depth)."""
 
-    enters = EApp
+    def __init__(self, state: Mixed):
+        self._focus = state
+        self._above: list[tuple[EApp, int]] = []
 
-    def is_redex(self, node: Mixed) -> bool:
-        return isinstance(node, EMu) or (
-            isinstance(node, EApp) and isinstance(node.fun, ELam)
-        )
+    def redex(self) -> Optional[Mixed]:
+        """Move the cursor to the next redex, the focus included, and
+        return it, or None at a normal form, leaving the cursor at the
+        root."""
+        focus, above = self._focus, self._above
+        while True:
+            if isinstance(focus, EMu):
+                break
+            if isinstance(focus, EApp):
+                if isinstance(focus.fun, ELam):
+                    break
+                above.append((focus, 0))
+                focus = focus.fun
+                continue
+            # climb past `arg` edges, then enter the next `arg`
+            while above and above[-1][1]:
+                focus = EApp(above.pop()[0].fun, focus)
+            if not above:
+                self._focus = focus
+                return None
+            node = EApp(focus, above.pop()[0].arg)
+            above.append((node, 1))
+            focus = node.arg
+        self._focus = focus
+        return focus
+
+    def position(self) -> Path:
+        """The path from the root to the cursor."""
+        return tuple(i for _, i in self._above)
+
+    def state(self, focus: Optional[Mixed] = None) -> Mixed:
+        """The current state, or `focus` plugged in at the cursor."""
+        out = self._focus if focus is None else focus
+        for node, i in reversed(self._above):
+            out = EApp(out, node.arg) if i == 0 else EApp(node.fun, out)
+        return out
 
     def contract(self):
         """Contract the redex at the cursor, then back up to the top of its
@@ -227,24 +264,14 @@ def _hyp_context(env: AxiomEnv, start: Atom, d: Atom, fuel: int) -> Optional[Mix
         pass
     if fuel < 1 or m.reducible or set(iter_atoms(m.state())) != {d}:
         return None
-    return _subst_leaf(m.state(), MAtom(d), Hole())
-
-
-def _subst_leaf(ctx: Mixed, old: Mixed, new: Mixed) -> Mixed:
-    if ctx == old:
-        return new
-    if isinstance(ctx, EApp):
-        return EApp(_subst_leaf(ctx.fun, old, new), _subst_leaf(ctx.arg, old, new))
-    if isinstance(ctx, (ELam, EMu)):
-        return type(ctx)(ctx.binder, _subst_leaf(ctx.body, old, new))
-    return ctx
+    return subst_leaf(m.state(), MAtom(d), Hole())
 
 
 def iterate_context(ctx: Mixed, d: Atom, m: int) -> Mixed:
     """C^m[D]: the hypothesis context applied m times to its atom."""
     out: Mixed = MAtom(d)
     for _ in range(m):
-        out = _subst_leaf(ctx, Hole(), out)
+        out = subst_leaf(ctx, Hole(), out)
     return out
 
 

@@ -387,17 +387,27 @@ def candidates(env: AxiomEnv, goal: Atom, depth: int):
 FIRST_CYCLE_CHECK = 16
 
 
-def _path_repeats(todo) -> bool:
+def _path_repeats(todo, seen: list) -> bool:
     """Whether the closers in `todo`, the derivation path, prove one atom
-    twice at guard depths that are equal or both >= 1."""
-    seen = set(), set()  # atoms proved at depth 0, at depth >= 1
-    while todo is not None:
+    twice at guard depths that are equal or both >= 1.  `seen` carries one
+    `resolve` call's last walk: [its topmost closer cell, the atoms proved
+    at depth 0, those at depth >= 1] on the path from that cell down.  A
+    walk that meets the cell adds only the closers above it; one that
+    reaches the bottom without meeting it builds the sets afresh."""
+    mark, new = seen[0], []
+    while todo is not None and todo is not mark:
         if len(todo) == 6:
-            atoms = seen[todo[3] >= 1]
-            if todo[2] in atoms:
-                return True
-            atoms.add(todo[2])
+            new.append(todo)
         todo = todo[-1]
+    if todo is None:
+        seen[:] = None, set(), set()
+    if new:
+        seen[0] = new[0]
+    for cell in new:
+        atoms = seen[1 + (cell[3] >= 1)]
+        if cell[2] in atoms:
+            return True
+        atoms.add(cell[2])
     return False
 
 
@@ -430,7 +440,8 @@ def resolve(env: AxiomEnv, goal: Atom, fuel: Fuel | int = 10_000) -> Evidence:
     anyway.  The path is checked when the count of clause applications
     reaches 16, 32, 64, ..., so the checks cost amortised O(1) per
     application; terms cache their hashes, so hashing a path costs only its
-    newly built terms.
+    newly built terms, and a check walks only the closers pushed since the
+    last one while that one's topmost closer is still on the path.
 
     Replay: a closer records its atom, per guard class, with its proof and
     the applications its subtree took, when the subtree was choice-free:
@@ -460,6 +471,7 @@ def resolve(env: AxiomEnv, goal: Atom, fuel: Fuel | int = 10_000) -> Evidence:
     # cohypothesis withheld; an application follows each before a new pop
     last_event = -1
     solved = {}, {}  # atom -> (proof, applications), at depth 0 and >= 1
+    seen = [None, set(), set()]  # see `_path_repeats`
 
     while todo is not None:
         if len(todo) == 6:  # a closer: apply ref to the n newest proofs
@@ -480,7 +492,7 @@ def resolve(env: AxiomEnv, goal: Atom, fuel: Fuel | int = 10_000) -> Evidence:
             while next_check <= min(end, applied + fuel.remaining):
                 fuel.remaining -= next_check - applied
                 applied, next_check = next_check, 2 * next_check
-                if _path_repeats(todo):
+                if _path_repeats(todo, seen):
                     raise FuelExhausted()
             # past the budget, stop at -1 as one `spend` at a time does
             fuel.remaining = max(fuel.remaining - (end - applied), -1)
@@ -521,7 +533,7 @@ def resolve(env: AxiomEnv, goal: Atom, fuel: Fuel | int = 10_000) -> Evidence:
         applied += 1
         if applied == next_check:
             next_check *= 2
-            if _path_repeats(todo):
+            if _path_repeats(todo, seen):
                 raise FuelExhausted()
     return done[0]
 
@@ -532,133 +544,180 @@ def resolve(env: AxiomEnv, goal: Atom, fuel: Fuel | int = 10_000) -> Evidence:
 Path = tuple[int, ...]
 
 
-def _child(node: Mixed, i: int) -> Mixed:
-    if isinstance(node, EApp):
-        return node.fun if i == 0 else node.arg
-    return node.body  # ELam / EMu
+BINDER = -1  # the arity of a closer that rebuilds an ELam or EMu
 
 
-def _rebuild(node: Mixed, i: int, child: Mixed) -> Mixed:
-    if isinstance(node, EApp):
-        return EApp(child, node.arg) if i == 0 else EApp(node.fun, child)
-    if isinstance(node, ELam):
-        return ELam(node.binder, child)
-    return EMu(node.binder, child)
+def _push(item, stack):
+    """Put one finished item on `stack` (a linked list, newest first): an
+    atom as its MAtom, a closer (head, n) applied to the subterms it pops,
+    a leaf as it is."""
+    cls = item.__class__
+    if cls is Atom:
+        return MAtom(item), stack
+    if cls is not tuple:
+        return item, stack
+    head, n = item
+    if n == BINDER:
+        body, stack = stack
+        return type(head)(head.binder, body), stack
+    args = []
+    for _ in range(n):
+        arg, stack = stack
+        args.append(arg)
+    if head is None:
+        head, stack = stack
+    return mk_eapp(head, *reversed(args)), stack
+
+
+def _cells(state: Mixed) -> list:
+    """The items whose fold by `_push` rebuilds `state`, rightmost first:
+    its leaves, and after the parts of each application a closer (None, 1)
+    and of each binder a closer (node, BINDER)."""
+    items, stack = [], [state]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, EApp):
+            items.append((None, 1))
+            stack += (node.fun, node.arg)
+        elif isinstance(node, (ELam, EMu)):
+            items.append((node, BINDER))
+            stack.append(node.body)
+        else:
+            items.append(node)
+    return items
 
 
 def iter_atoms(state: Mixed):
     """Yield every atom leaf, leftmost-outermost first."""
-    stack: list[Mixed] = [state]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, MAtom):
-            yield node.atom
-        elif isinstance(node, EApp):
-            stack += (node.arg, node.fun)
-        elif isinstance(node, (ELam, EMu)):
-            stack.append(node.body)
+    for item in reversed(_cells(state)):
+        if item.__class__ is MAtom:
+            yield item.atom
 
 
-class Cursor:
-    """A cursor into a mixed term that meets redexes left to right: a
-    zipper of the focus and the nodes above it, each with the child index
-    taken.  A subclass says which nodes are redexes (`is_redex`), which
-    nodes the walk enters (`enters`), and what a contraction does to the
-    focus.  `state()` zips the cursor up in O(depth)."""
-
-    enters: type | tuple[type, ...]
-
-    def __init__(self, state: Mixed):
-        self._focus = state
-        self._above: list[tuple[Mixed, int]] = []
-
-    def is_redex(self, node: Mixed) -> bool:
-        raise NotImplementedError
-
-    def redex(self) -> Optional[Mixed]:
-        """Move the cursor to the next redex, the focus included, and
-        return it, or None at a normal form, leaving the cursor at the
-        root."""
-        focus, above, enters = self._focus, self._above, self.enters
-        is_redex = self.is_redex
-        while True:
-            if is_redex(focus):
-                self._focus = focus
-                return focus
-            if isinstance(focus, enters):
-                above.append((focus, 0))
-                focus = _child(focus, 0)
-                continue
-            # climb past last children, then enter the next right sibling
-            while above and (above[-1][1] or not isinstance(above[-1][0], EApp)):
-                node, i = above.pop()
-                focus = _rebuild(node, i, focus)
-            if not above:
-                self._focus = focus
-                return None
-            node = EApp(focus, above.pop()[0].arg)
-            above.append((node, 1))
-            focus = node.arg
-
-    def position(self) -> Path:
-        """The path from the root to the cursor."""
-        return tuple(i for _, i in self._above)
-
-    def state(self, focus: Optional[Mixed] = None) -> Mixed:
-        """The current state, or `focus` plugged in at the cursor."""
-        out = self._focus if focus is None else focus
-        for node, i in reversed(self._above):
-            out = _rebuild(node, i, out)
-        return out
+def subst_leaf(state: Mixed, old: Mixed, new: Mixed) -> Mixed:
+    """`state` with each leaf equal to `old` replaced by `new`, rebuilt by
+    a loop at any depth."""
+    stack = None
+    for item in reversed(_cells(state)):
+        stack = _push(new if item == old else item, stack)
+    return stack[0]
 
 
-class StepMachine(Cursor):
+class StepMachine:
     """Small-step resolution from `state`: each step rewrites the leftmost
     reducible atom through the newest matching clause.  The environment is
-    fixed, so nothing left of that atom ever changes again, and the cursor
-    only moves right.  The machine keeps the counts of steps and of
-    reducible atoms, and each atom's rewrite, memoised by identity (hashing
-    every new atom costs more than equal atoms save).  A step costs O(body
-    size) amortised."""
+    fixed, so an atom found irreducible stays irreducible, nothing left of
+    a rewrite ever changes again, and the cursor only moves right.
 
-    enters = (EApp, ELam, EMu)
+    The machine is laid out like `resolve`'s search state.  `todo` links
+    the pending work, leftmost first: atoms (atom, (entry, sigma) or None,
+    rest), each with the newest clause matching it, and (item, rest) for a
+    closer or a leaf.  A closer (head, n) follows the parts of an
+    application and applies head to the n subterms they leave (head None:
+    the first part is the head), and (node, BINDER) rebuilds an ELam or
+    EMu around its body.  A rewrite pushes a closer (ref, n) after the n
+    body atoms; `state` is flattened into the same cells once.  `done`
+    links the items the cursor has passed, newest first, as they were.
+
+    A step builds neither an MAtom nor an application: only `state()`
+    applies the closers, and it keeps what it folded of `done` for its next
+    call.  Each body atom is matched once, when it is made, which gives the
+    count of reducible atoms; its clause body is instantiated only when the
+    atom is rewritten.  A step costs O(body size) amortised."""
 
     def __init__(self, env: AxiomEnv, state: Mixed):
-        super().__init__(state)
         self.env = env
         self.steps = 0
-        self._memo: dict = {}
-        self.reducible = sum(self._rewrite(a) is not None for a in iter_atoms(state))
+        self.reducible = 0
+        self._done = self._folded = None
+        todo = None
+        for item in _cells(state):
+            if item.__class__ is MAtom:
+                todo = (item.atom, self._clause(item.atom), todo)
+                self.reducible += todo[1] is not None
+            else:
+                todo = (item, todo)
+        self._todo = todo
 
-    def _rewrite(self, atom: Atom):
-        """(replacement, body atoms) by the newest matching clause, or None."""
-        entry = self._memo.get(id(atom))
-        if entry is None:
-            found = next(iter(self.env.matching(atom)), None)
-            if found is not None:
-                ref, body = found[0].instantiate(found[1])
-                found = mk_eapp(ref, *map(MAtom, body)), body
-            entry = self._memo[id(atom)] = atom, found  # the atom pins its id
-        return entry[1]
-
-    def is_redex(self, node: Mixed) -> bool:
-        return isinstance(node, MAtom) and self._rewrite(node.atom) is not None
+    def _clause(self, atom: Atom):
+        """(entry, sigma) of the newest clause matching `atom`, or None."""
+        found = self.env.matching(atom)
+        return found[0] if found else None
 
     def redex(self) -> Optional[Atom]:
         """Move the cursor to the leftmost reducible atom and return it, or
-        None at a normal form, leaving the cursor at the root."""
-        node = super().redex()
-        return None if node is None else node.atom
+        None at a normal form."""
+        todo, done = self._todo, self._done
+        while todo is not None:
+            if len(todo) == 2:
+                item, todo = todo
+            elif todo[1] is None:
+                item, _, todo = todo
+            else:
+                break
+            done = (item, done)
+        self._todo, self._done = todo, done
+        return None if todo is None else todo[0]
 
     def advance(self) -> bool:
         """Rewrite the leftmost reducible atom; False at a normal form."""
-        atom = self.redex()
-        if atom is None:
+        if self.redex() is None:
             return False
-        self._focus, body = self._rewrite(atom)
-        self.reducible += sum(self._rewrite(b) is not None for b in body) - 1
+        _, (entry, sigma), todo = self._todo
+        ref, body = entry.instantiate(sigma)
+        found = [self._clause(b) for b in body]
+        todo = ((ref, len(body)), todo)
+        for b, f in zip(reversed(body), reversed(found)):
+            todo = (b, f, todo)
+        self._todo = todo
+        self.reducible += len(found) - found.count(None) - 1
         self.steps += 1
         return True
+
+    def state(self, focus: Optional[Mixed] = None) -> Mixed:
+        """The current state, or `focus` plugged in for the leftmost
+        reducible atom (the whole state at a normal form).  What the cursor
+        passed since the last call is folded and kept folded."""
+        if focus is not None and self.redex() is None:
+            return focus
+        passed, stack = [], self._done
+        while stack is not self._folded:
+            item, stack = stack
+            passed.append(item)
+        for item in reversed(passed):
+            stack = _push(item, stack)
+        self._done = self._folded = stack
+        todo = self._todo
+        if focus is not None:
+            stack, todo = (focus, stack), todo[-1]
+        while todo is not None:
+            stack, todo = _push(todo[0], stack), todo[-1]
+        return stack[0]
+
+    def position(self) -> Path:
+        """The path from the root to the leftmost reducible atom, () at a
+        normal form: 0 for an application's `fun` or a binder's body, 1
+        for its `arg`.  The closers after the cursor that take the subterm
+        holding it are its ancestors; `k` counts the subterms that will lie
+        above that one on the fold's stack."""
+        if self.redex() is None:
+            return ()
+        steps: list[tuple[int, ...]] = []
+        k, todo = 0, self._todo[-1]
+        while todo is not None:
+            item, todo = todo[0], todo[-1]
+            if item.__class__ is not tuple:
+                k += 1
+                continue
+            head, n = item
+            pops = 1 if n == BINDER else n + (head is None)
+            if k >= pops:
+                k -= pops - 1
+                continue
+            i = pops - k - (head is None)  # 1-based argument, 0 the head
+            steps.append((0,) if n == BINDER else (0,) * (n - i) + (1,) * (i > 0))
+            k = 0
+        return tuple(x for s in reversed(steps) for x in s)
 
 
 def step(env: AxiomEnv, state: Mixed) -> Optional[Mixed]:

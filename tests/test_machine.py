@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from dataclasses import fields, is_dataclass
 from itertools import islice
 
@@ -21,6 +22,7 @@ from conftest import (
     random_loop_goal,
     random_looping_env,
     random_terminating_case,
+    run_at_the_default_limit,
 )
 from cohorn import cli
 from cohorn.corec import ProofConfig, prove_horn
@@ -37,6 +39,7 @@ from cohorn.evidence import (
 from cohorn.parser import parse_atom
 from cohorn.resolve import (
     AxiomEnv,
+    Entry,
     Fuel,
     FuelExhausted,
     GuardViolation,
@@ -446,6 +449,91 @@ def test_machine_keeps_the_count_of_reducible_atoms():
                 )
                 assert (m.redex(), m.position()) == (atom, path)
             m.advance()
+
+
+def test_machine_plugs_a_focus_in_at_the_cursor_of_mixed_states():
+    # the stack folds back into the state around applications, lambdas
+    # and fixed points of the first state, with a hole at the cursor
+    rng = random.Random(5)
+    env = LIST.extended(*PAIR.clauses()[1:])
+    for _ in range(300):
+        m = StepMachine(env, random_state(rng, 5))
+        for state in islice(ref_steps(env, m.state()), 12):
+            assert m.state() == state
+            found = [(p, a) for p, a in ref_atoms(state) if ref_reducible(env, a)]
+            if not found:
+                assert (m.redex(), m.position(), m.state(Hole())) == (None, (), Hole())
+                break
+            path, atom = found[0]
+            assert (m.redex(), m.position()) == (atom, path)
+            assert m.state(Hole()) == replace_at(state, path, Hole())
+            m.advance()
+
+
+def test_machine_instantiates_a_body_only_when_it_rewrites_its_atom(monkeypatch):
+    # counts of work, not times: each step instantiates one clause body, and
+    # each atom the machine makes, the goal and every body atom, is matched
+    # once, whether or not it is ever rewritten, and folding states adds none
+    calls = Counter()
+    instantiate, matching = Entry.instantiate, AxiomEnv.matching
+
+    def counted_instantiate(entry, sigma):
+        ref, body = instantiate(entry, sigma)
+        calls["instantiate"] += 1
+        calls["atoms made"] += len(body)
+        return ref, body
+
+    def counted_matching(env, atom):
+        calls["matching"] += 1
+        return matching(env, atom)
+
+    monkeypatch.setattr(Entry, "instantiate", counted_instantiate)
+    monkeypatch.setattr(AxiomEnv, "matching", counted_matching)
+    cut = 0
+    for k, (env, goal) in enumerate(cases(14, 120)):
+        calls.clear()
+        m = StepMachine(env, MAtom(goal))
+        while m.steps < 30 and m.advance():
+            if k % 2:
+                m.state(), m.position(), m.state(Hole())
+        assert calls["instantiate"] == m.steps
+        assert calls["matching"] == 1 + calls["atoms made"]
+        cut += m.reducible > 0
+    assert cut > 10  # runs that left atoms matched and counted, never instantiated
+
+
+def test_deep_contexts_and_states_need_no_recursion_limit():
+    # a 10,000-deep hypothesis context, read off a trace's normal form and
+    # iterated, and states, a focus and a position folded off the stack
+    # 5,000 steps into a 10,000-step trace
+    out = run_at_the_default_limit(
+        """
+from cohorn.evidence import _hyp_context, iterate_context
+from cohorn.resolve import AxiomEnv, StepMachine, axiom
+from cohorn.syntax import App, Atom, Const, Hole, HornFormula, MAtom, Var
+S, Z, x = Const("S"), Const("Z"), Var("x")
+P = lambda t: Atom("P", (t,))
+env = AxiomEnv([axiom("K", HornFormula((P(x),), P(App(S, x))))])
+t = Z
+for _ in range(10_000):
+    t = App(S, t)
+
+def spine(state):
+    n = 0
+    while hasattr(state, "arg"):
+        state, n = state.arg, n + 1
+    return n, type(state).__name__
+
+ctx = _hyp_context(env, P(t), P(Z), 20_000)
+m = StepMachine(env, MAtom(P(t)))
+while m.steps < 5_000 and m.advance():
+    pass
+path = m.position()
+print(*spine(ctx), *spine(iterate_context(ctx, P(Z), 2)))
+print(*spine(m.state()), *spine(m.state(Hole())), len(path), set(path))
+"""
+    )
+    assert out.split() == ["10000", "Hole", "20000", "MAtom", "5000", "MAtom", "5000", "Hole", "5000", "{1}"]
 
 
 # ---------------------------------------------------------------------------

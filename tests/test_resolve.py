@@ -992,8 +992,8 @@ def compare_with_unreplayed(runs, monkeypatch):
         calls[0] += 1
         return matching(env, goal)
 
-    def counted_path_repeats(todo):
-        found = path_repeats(todo)
+    def counted_path_repeats(todo, seen):
+        found = path_repeats(todo, seen)
         if meter.remaining != meter.spent_to:  # lowered by a replay
             counts["checkpoint in replay, repeat" if found else "checkpoint in replay"] += 1
         return found
@@ -1104,9 +1104,9 @@ def test_the_plain_burn_goes_through_every_hook(phi_d, monkeypatch):
         calls["matching"] += 1
         return matching(env, goal)
 
-    def counted_path_repeats(todo):
+    def counted_path_repeats(todo, seen):
         checked.append(10_000 - fuel.remaining)
-        return path_repeats(todo)
+        return path_repeats(todo, seen)
 
     monkeypatch.setattr(AxiomEnv, "matching", counted_matching)
     monkeypatch.setattr(resolve_module, "_path_repeats", counted_path_repeats)
