@@ -507,7 +507,6 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 50_000))
     args = _build_arg_parser().parse_args(argv)
     if args.command == "check":
         cfg = RunConfig(

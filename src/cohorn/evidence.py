@@ -226,16 +226,6 @@ def whnf(e: Evidence, fuel: int = 10_000) -> Evidence:
     return r.state()
 
 
-def ev_step(state: Mixed) -> Optional[Mixed]:
-    """Contract the leftmost outermost mu- or beta-redex, or None when the
-    term has no redex."""
-    r = EvReducer(state)
-    if r.redex() is None:
-        return None
-    r.contract()
-    return r.state()
-
-
 # ---------------------------------------------------------------------------
 # Simple loops
 
@@ -249,7 +239,6 @@ class SimpleLoop:
     env: AxiomEnv
     goal: Atom
     loop_state: Mixed
-    loop_position: Path
     sigma: Subst
     hypotheses: tuple[Atom, ...]
     hypothesis_evidence_contexts: dict[Atom, Mixed]  # holes at the D spots
@@ -314,7 +303,7 @@ def detect_simple_loop(
                 break
             ctxs[d] = c
         else:
-            return SimpleLoop(env, goal, state, m.position(), sigma, hyps, ctxs)
+            return SimpleLoop(env, goal, state, sigma, hyps, ctxs)
     return None
 
 

@@ -694,31 +694,6 @@ class StepMachine:
             stack, todo = _push(todo[0], stack), todo[-1]
         return stack[0]
 
-    def position(self) -> Path:
-        """The path from the root to the leftmost reducible atom, () at a
-        normal form: 0 for an application's `fun` or a binder's body, 1
-        for its `arg`.  The closers after the cursor that take the subterm
-        holding it are its ancestors; `k` counts the subterms that will lie
-        above that one on the fold's stack."""
-        if self.redex() is None:
-            return ()
-        steps: list[tuple[int, ...]] = []
-        k, todo = 0, self._todo[-1]
-        while todo is not None:
-            item, todo = todo[0], todo[-1]
-            if item.__class__ is not tuple:
-                k += 1
-                continue
-            head, n = item
-            pops = 1 if n == BINDER else n + (head is None)
-            if k >= pops:
-                k -= pops - 1
-                continue
-            i = pops - k - (head is None)  # 1-based argument, 0 the head
-            steps.append((0,) if n == BINDER else (0,) * (n - i) + (1,) * (i > 0))
-            k = 0
-        return tuple(x for s in reversed(steps) for x in s)
-
 
 def step(env: AxiomEnv, state: Mixed) -> Optional[Mixed]:
     """One small resolution step: rewrite the leftmost reducible atom

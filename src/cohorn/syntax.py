@@ -1,6 +1,6 @@
 """Terms, atoms, Horn formulas, evidence terms and the operations shared by
-the whole engine: substitution, one-sided matching, anti-unification,
-symbol/variable multisets and alpha-equivalence.
+the whole engine: substitution, one-sided matching, anti-unification
+and symbol/variable multisets.
 
 Conventions: variable names start lowercase, constant and predicate names
 start uppercase. All node types are frozen dataclasses and safe to share.
@@ -120,18 +120,34 @@ class App(_CachedHash):
         return self._ground
 
     def __eq__(self, other):
-        if other.__class__ is not App:
+        """Structural equality of terms or of evidence, the evidence nodes
+        sharing this method.  The pairs left to compare wait on `rest`, a
+        linked list, so depth costs no recursion."""
+        if other.__class__ is not self.__class__:
             return NotImplemented
-        stack = [(self, other)]  # explicit, for deep terms
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if a.__class__ is App and b.__class__ is App:
-                stack += ((a.arg, b.arg), (a.fun, b.fun))
-            elif a != b:
-                return False
-        return True
+        a, b, rest = self, other, None
+        while True:
+            if a is not b:
+                cls = a.__class__
+                if cls is not b.__class__:
+                    return False
+                if cls is App or cls is EApp:
+                    rest = (a.arg, b.arg, rest)
+                    a, b = a.fun, b.fun
+                    continue
+                if cls in _NAMED:
+                    if a.name != b.name:
+                        return False
+                elif cls is ELam or cls is EMu:
+                    if a.binder != b.binder:
+                        return False
+                    a, b = a.body, b.body
+                    continue
+                elif a != b:
+                    return False
+            if rest is None:
+                return True
+            a, b, rest = rest
 
     def __repr__(self):
         return render_term(self)
@@ -228,6 +244,8 @@ class EApp:
     fun: "Mixed"
     arg: "Mixed"
 
+    __eq__ = App.__eq__
+
     def __repr__(self):
         return render_evidence(self)
 
@@ -237,6 +255,8 @@ class ELam:
     binder: str
     body: "Mixed"
 
+    __eq__ = App.__eq__
+
     def __repr__(self):
         return render_evidence(self)
 
@@ -245,6 +265,8 @@ class ELam:
 class EMu:
     binder: str
     body: "Mixed"
+
+    __eq__ = App.__eq__
 
     def __repr__(self):
         return render_evidence(self)
@@ -330,24 +352,30 @@ def apply(s: Subst, x):
 
 
 def match_term(pattern: Term, subject: Term, binds: Subst) -> bool:
+    """Extend `binds` so that the pattern matches the subject, left to
+    right; the argument pairs left to match wait on `rest`, a linked list."""
+    rest = None
     while True:
         if isinstance(pattern, Var):
             bound = binds.get(pattern.name)
             if bound is None:
                 binds[pattern.name] = subject
-                return True
-            return bound == subject
-        if isinstance(pattern, Const):
-            return isinstance(subject, Const) and pattern.name == subject.name
-        if isinstance(pattern, Eigen):
-            return pattern == subject
-        # application: subject must be an application too; the argument is
-        # matched by the loop, so only nesting through `fun` recurses
-        if not (
-            isinstance(subject, App) and match_term(pattern.fun, subject.fun, binds)
-        ):
+            elif bound != subject:
+                return False
+        elif isinstance(pattern, App):
+            if not isinstance(subject, App):
+                return False
+            rest = (pattern.arg, subject.arg, rest)
+            pattern, subject = pattern.fun, subject.fun
+            continue
+        elif isinstance(pattern, Const):
+            if not (isinstance(subject, Const) and pattern.name == subject.name):
+                return False
+        elif pattern != subject:  # an Eigen constant
             return False
-        pattern, subject = pattern.arg, subject.arg
+        if rest is None:
+            return True
+        pattern, subject, rest = rest
 
 
 def match(pattern: Atom, subject: Atom) -> Optional[Subst]:
@@ -511,15 +539,29 @@ def anti_unify_all(atoms: list[Atom]) -> Atom:
 
 
 def _anti_unify2(a: Atom, b: Atom) -> Atom:
+    """The argument pairs are generalized depth-first, left to right, so
+    the fresh variables are numbered in that order.  The pairs left to
+    generalize wait on `stack`; the None after an argument pair applies the
+    application built so far to that pair's result.  Unequal cached hashes
+    tell an unequal pair in O(1), so the whole walk is linear in the terms'
+    size."""
     if a.pred != b.pred or len(a.args) != len(b.args):
         raise PredicateMismatch(f"cannot anti-unify {a!r} with {b!r}")
     avoid = set(free_vars(a)) | set(free_vars(b))
     names = fresh_var_names(avoid)
     phi: dict[tuple[Term, Term], Var] = {}
-
-    def gen(t: Term, u: Term) -> Term:
-        if t == u:
-            return t
+    out: list[Term] = []
+    stack: list = list(zip(reversed(a.args), reversed(b.args)))
+    while stack:
+        key = stack.pop()
+        if key is None:
+            arg = out.pop()
+            out[-1] = App(out[-1], arg)
+            continue
+        t, u = key
+        if t is u or (hash(t) == hash(u) and t == u):
+            out.append(t)
+            continue
         th, targs = spine_term(t)
         uh, uargs = spine_term(u)
         if (
@@ -528,16 +570,14 @@ def _anti_unify2(a: Atom, b: Atom) -> Atom:
             and th.name == uh.name
             and len(targs) == len(uargs)
         ):
-            out: Term = th
-            for ta, ua in zip(targs, uargs):
-                out = App(out, gen(ta, ua))
-            return out
-        key = (t, u)
+            out.append(th)
+            for sub in reversed(list(zip(targs, uargs))):
+                stack += (None, sub)
+            continue
         if key not in phi:
             phi[key] = Var(next(names))
-        return phi[key]
-
-    return Atom(a.pred, tuple(gen(t, u) for t, u in zip(a.args, b.args)))
+        out.append(phi[key])
+    return Atom(a.pred, tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -593,59 +633,49 @@ def free_evars(e: Mixed) -> set[str]:
 
 
 def subst_evidence(e: Mixed, name: str, repl: Mixed) -> Mixed:
-    """Capture-avoiding replacement of the free evidence variable `name`."""
-    repl_free = free_evars(repl)
+    """Capture-avoiding replacement of the free evidence variable `name`.
+    A binder that would capture a free variable of `repl` is renamed apart
+    first, by a replacement of its own.
 
-    def go(node: Mixed, bound: frozenset[str]) -> Mixed:
-        if isinstance(node, EVar):
-            return repl if (node.name == name and node.name not in bound) else node
-        if isinstance(node, EApp):
-            return EApp(go(node.fun, bound), go(node.arg, bound))
-        if isinstance(node, (ELam, EMu)):
-            cls = type(node)
-            binder = node.binder
-            if binder == name:
-                return node
-            body = node.body
-            if binder in repl_free:
-                fresh = binder
-                taken = repl_free | free_evars(body) | bound
+    The work waits on `todo` as (op, node, job), and the results pile up on
+    `out`.  A job is (name, repl, free variables of repl, binders above).
+    "go" replaces in node under job, "app" makes an EApp of the two newest
+    results, "then" runs job on the newest (a binder's body, renamed or
+    not), and "bind" wraps the newest in node's class under binder job."""
+    out: list[Mixed] = []
+    todo: list = [("go", e, (name, repl, free_evars(repl), frozenset()))]
+    while todo:
+        op, node, job = todo.pop()
+        if op == "app":
+            arg = out.pop()
+            out[-1] = EApp(out[-1], arg)
+        elif op == "bind":
+            out[-1] = type(node)(job, out[-1])
+        elif op == "then":
+            todo.append(("go", out.pop(), job))
+        elif isinstance(node, EApp):
+            todo += (("app", None, None), ("go", node.arg, job), ("go", node.fun, job))
+        elif isinstance(node, (ELam, EMu)) and node.binder != job[0]:
+            x, r, r_free, bound = job
+            binder = fresh = node.binder
+            if binder in r_free:
+                taken = r_free | free_evars(node.body) | bound
                 k = 0
                 while fresh in taken:
                     fresh = f"{binder}_{k}"
                     k += 1
-                body = subst_evidence(body, binder, EVar(fresh))
-                binder = fresh
-            return cls(binder, go(body, bound | {binder}))
-        return node
-
-    return go(e, frozenset())
-
-
-def alpha_equal(e1: Mixed, e2: Mixed) -> bool:
-    """Equality up to consistent renaming of lambda and mu binders."""
-
-    def go(a: Mixed, b: Mixed, m1: dict, m2: dict, depth: int) -> bool:
-        if type(a) is not type(b):
-            return False
-        if isinstance(a, EVar):
-            return m1.get(a.name, a.name) == m2.get(b.name, b.name)
-        if isinstance(a, EAxiom):
-            return a.name == b.name
-        if isinstance(a, (MAtom,)):
-            return a == b
-        if isinstance(a, Hole):
-            return True
-        if isinstance(a, EApp):
-            return go(a.fun, b.fun, m1, m2, depth) and go(a.arg, b.arg, m1, m2, depth)
-        # binder: map both to the same canonical level marker
-        n1 = dict(m1)
-        n2 = dict(m2)
-        n1[a.binder] = depth
-        n2[b.binder] = depth
-        return go(a.body, b.body, n1, n2, depth + 1)
-
-    return go(e1, e2, {}, {}, 0)
+            todo.append(("bind", node, fresh))
+            todo.append(("then", None, (x, r, r_free, bound | {fresh})))
+            if fresh == binder:
+                out.append(node.body)
+            else:
+                rename = (binder, EVar(fresh), {fresh}, frozenset())
+                todo.append(("go", node.body, rename))
+        elif isinstance(node, EVar) and node.name == job[0] and node.name not in job[3]:
+            out.append(job[1])
+        else:
+            out.append(node)
+    return out[0]
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,22 @@ import time
 
 import pytest
 
+from cohorn.evidence import EvReducer
 from cohorn.parser import parse_module
 from cohorn.resolve import AxiomEnv, axiom, cohypothesis, hypothesis
 from cohorn.syntax import (
     App,
     Atom,
     Const,
+    EApp,
+    EAxiom,
+    ELam,
+    EMu,
     Eigen,
+    EVar,
+    Hole,
     HornFormula,
+    MAtom,
     Term,
     Var,
     apply,
@@ -130,8 +138,9 @@ def phi_d() -> AxiomEnv:
 
 
 def run_at_the_default_limit(code: str) -> str:
-    """stdout of `code` in a child interpreter, which keeps the default
-    recursion limit that `cohorn.cli.main` raises in this one."""
+    """stdout of `code` run in a fresh child interpreter at the default
+    recursion limit (checked first), so that no limit this process has set
+    can hide a deep recursion."""
     out = subprocess.run(
         [sys.executable, "-c", "import sys\nassert sys.getrecursionlimit() <= 1000\n" + code],
         capture_output=True,
@@ -141,6 +150,42 @@ def run_at_the_default_limit(code: str) -> str:
     )
     assert out.returncode == 0, out.stderr
     return out.stdout
+
+
+def alpha_equal(e1, e2) -> bool:
+    """Equality up to consistent renaming of lambda and mu binders."""
+
+    def go(a, b, m1: dict, m2: dict, depth: int) -> bool:
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, EVar):
+            return m1.get(a.name, a.name) == m2.get(b.name, b.name)
+        if isinstance(a, EAxiom):
+            return a.name == b.name
+        if isinstance(a, (MAtom,)):
+            return a == b
+        if isinstance(a, Hole):
+            return True
+        if isinstance(a, EApp):
+            return go(a.fun, b.fun, m1, m2, depth) and go(a.arg, b.arg, m1, m2, depth)
+        # binder: map both to the same canonical level marker
+        n1 = dict(m1)
+        n2 = dict(m2)
+        n1[a.binder] = depth
+        n2[b.binder] = depth
+        return go(a.body, b.body, n1, n2, depth + 1)
+
+    return go(e1, e2, {}, {}, 0)
+
+
+def ev_step(state):
+    """Contract the leftmost outermost mu- or beta-redex, or None when the
+    term has no redex."""
+    r = EvReducer(state)
+    if r.redex() is None:
+        return None
+    r.contract()
+    return r.state()
 
 
 def best_time(fn, repeats=3):
@@ -302,6 +347,28 @@ def random_loop_goal(rng: random.Random, env: AxiomEnv) -> Atom:
         return Atom(rng.choice(LOOP_PREDS), (random_loop_term(rng, 3),))
     head = rng.choice([e.formula.head for e in env])
     return apply({v: random_loop_term(rng, 2) for v in free_vars(head)}, head)
+
+
+# Evidence whose binders and variables share a few names, `a` and its first
+# renaming `a_0` among them, so a substitution often has to rename apart.
+EVIDENCE_NAMES = ("a", "b", "a_0", "b_0")
+
+
+def random_evidence(rng: random.Random, depth: int):
+    """A mixed term over applications, lambdas and fixed points, with
+    variables, axioms, atoms and holes at the leaves."""
+    roll = rng.random()
+    if depth <= 0 or roll < 0.25:
+        leaf = rng.random()
+        if leaf < 0.5:
+            return EVar(rng.choice(EVIDENCE_NAMES))
+        if leaf < 0.75:
+            return EAxiom(rng.choice(["K0", "K1"]))
+        return MAtom(eq(random_term(rng, 1, []))) if leaf < 0.9 else Hole()
+    if roll < 0.7:
+        return EApp(random_evidence(rng, depth - 1), random_evidence(rng, depth - 1))
+    binder = rng.choice([ELam, EMu])
+    return binder(rng.choice(EVIDENCE_NAMES), random_evidence(rng, depth - 1))
 
 
 # Programs with shared repeated subgoals: Eq over nested pairs whose

@@ -22,7 +22,6 @@ from cohorn.syntax import (
     EVar,
     HornFormula,
     Var,
-    alpha_equal,
     anti_unify,
     fact,
     match,
@@ -30,7 +29,7 @@ from cohorn.syntax import (
     mk_eapp,
     pair,
 )
-from conftest import eq, random_atom, random_terminating_case
+from conftest import alpha_equal, eq, random_atom, random_terminating_case
 
 Int, Unit, Mu = Const("Int"), Const("Unit"), Const("Mu")
 x = Var("x")

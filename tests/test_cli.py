@@ -513,7 +513,7 @@ def test_text_and_json_agree_on_generated_modules(tmp_path):
 
 
 def test_check_ends_on_16000_deep_terms(tmp_path):
-    # both used to overflow the C stack under the CLI's raised recursion
+    # both used to overflow the C stack when the CLI raised the recursion
     # limit: hashing the goal, and comparing two equal axioms
     deep = "(S " * 16_000 + "Z" + ")" * 16_000
     files = {

@@ -40,7 +40,6 @@ from cohorn.syntax import (
     EVar,
     HornFormula,
     Var,
-    alpha_equal,
     fact,
     free_evars,
     mk_app,
@@ -50,6 +49,7 @@ from cohorn.syntax import (
 )
 from conftest import (
     CORPUS,
+    alpha_equal,
     eq,
     random_loop_goal,
     random_looping_env,

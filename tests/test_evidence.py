@@ -12,7 +12,6 @@ from cohorn.evidence import (
     check_obs_equiv,
     corecursive_points,
     detect_simple_loop,
-    ev_step,
     hnf,
     iterate_context,
     observational_points,
@@ -58,6 +57,7 @@ from conftest import (
     SHARING_COHYPOTHESES,
     best_time,
     eq,
+    ev_step,
     parse_horn,
     random_sharing_corec,
     random_sharing_env,

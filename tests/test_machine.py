@@ -19,6 +19,7 @@ import pytest
 from conftest import (
     CORPUS,
     best_time,
+    ev_step,
     random_loop_goal,
     random_looping_env,
     random_terminating_case,
@@ -32,7 +33,6 @@ from cohorn.evidence import (
     _hyp_context,
     corecursive_points,
     detect_simple_loop,
-    ev_step,
     observational_points,
     whnf,
 )
@@ -158,7 +158,7 @@ def ref_detect_simple_loop(env, goal, fuel):
                     break
                 ctxs[d] = c
             else:
-                return SimpleLoop(env, goal, state, path, sigma, hyps, ctxs)
+                return SimpleLoop(env, goal, state, sigma, hyps, ctxs)
     return None
 
 
@@ -444,10 +444,8 @@ def test_machine_keeps_the_count_of_reducible_atoms():
             assert m.state() == state
             assert m.reducible == sum(ref_reducible(env, a) for _, a in ref_atoms(state))
             if m.reducible:
-                path, atom = next(
-                    (p, a) for p, a in ref_atoms(state) if ref_reducible(env, a)
-                )
-                assert (m.redex(), m.position()) == (atom, path)
+                atom = next(a for _, a in ref_atoms(state) if ref_reducible(env, a))
+                assert m.redex() == atom
             m.advance()
 
 
@@ -462,10 +460,10 @@ def test_machine_plugs_a_focus_in_at_the_cursor_of_mixed_states():
             assert m.state() == state
             found = [(p, a) for p, a in ref_atoms(state) if ref_reducible(env, a)]
             if not found:
-                assert (m.redex(), m.position(), m.state(Hole())) == (None, (), Hole())
+                assert (m.redex(), m.state(Hole())) == (None, Hole())
                 break
             path, atom = found[0]
-            assert (m.redex(), m.position()) == (atom, path)
+            assert m.redex() == atom
             assert m.state(Hole()) == replace_at(state, path, Hole())
             m.advance()
 
@@ -495,7 +493,7 @@ def test_machine_instantiates_a_body_only_when_it_rewrites_its_atom(monkeypatch)
         m = StepMachine(env, MAtom(goal))
         while m.steps < 30 and m.advance():
             if k % 2:
-                m.state(), m.position(), m.state(Hole())
+                m.state(), m.state(Hole())
         assert calls["instantiate"] == m.steps
         assert calls["matching"] == 1 + calls["atoms made"]
         cut += m.reducible > 0
@@ -504,7 +502,7 @@ def test_machine_instantiates_a_body_only_when_it_rewrites_its_atom(monkeypatch)
 
 def test_deep_contexts_and_states_need_no_recursion_limit():
     # a 10,000-deep hypothesis context, read off a trace's normal form and
-    # iterated, and states, a focus and a position folded off the stack
+    # iterated, and states and a focus folded off the stack
     # 5,000 steps into a 10,000-step trace
     out = run_at_the_default_limit(
         """
@@ -528,12 +526,11 @@ ctx = _hyp_context(env, P(t), P(Z), 20_000)
 m = StepMachine(env, MAtom(P(t)))
 while m.steps < 5_000 and m.advance():
     pass
-path = m.position()
 print(*spine(ctx), *spine(iterate_context(ctx, P(Z), 2)))
-print(*spine(m.state()), *spine(m.state(Hole())), len(path), set(path))
+print(*spine(m.state()), *spine(m.state(Hole())))
 """
     )
-    assert out.split() == ["10000", "Hole", "20000", "MAtom", "5000", "MAtom", "5000", "Hole", "5000", "{1}"]
+    assert out.split() == ["10000", "Hole", "20000", "MAtom", "5000", "MAtom", "5000", "Hole"]
 
 
 # ---------------------------------------------------------------------------

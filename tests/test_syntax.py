@@ -19,7 +19,6 @@ from cohorn.syntax import (
     PredicateMismatch,
     Var,
     COMPILE_DEPTH,
-    alpha_equal,
     anti_unify,
     anti_unify_all,
     apply,
@@ -39,6 +38,7 @@ from cohorn.syntax import (
 from conftest import (
     CORPUS,
     EIGEN,
+    alpha_equal,
     eq,
     random_atom,
     random_index_goal,
@@ -317,7 +317,7 @@ def deep_term(n: int, leaf: str = "Z"):
 
 
 def test_hash_and_equality_of_deep_terms_need_no_deep_recursion():
-    # run under the default recursion limit: the CLI raises it, tests don't
+    # in-process, at the default recursion limit, which nothing raises
     n = 100_000
     a, b, c = deep_term(n), deep_term(n), deep_term(n, "Y")
     assert hash(a) == hash(b)
