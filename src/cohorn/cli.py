@@ -387,7 +387,8 @@ class _LoadError(Exception):
 
 def _load(path: str) -> SourceModule:
     try:
-        with open(path, encoding="utf-8") as f:
+        # no newline translation: a lone CR is a blank, as `parse_module` reads it
+        with open(path, encoding="utf-8", newline="") as f:
             text = f.read()
     except OSError as ex:
         raise _LoadError(f"error: {ex}\n") from None

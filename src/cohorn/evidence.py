@@ -72,15 +72,18 @@ def type_check(
     Global names resolve in `env`; the `mu` and lambda binders the term
     opens live in a local scope that is searched first, so a binder shadows
     an entry of the same name.  The checks wait on a work stack of (scope,
-    evidence, formula), arguments pushed last first, so they run depth-first
+    evidence, goal), arguments pushed last first, so they run depth-first
     and left to right, as the rules nest, at any depth of evidence: the
-    first failure met is the one logged."""
+    first failure met is the one logged.  A goal is a formula, generalized
+    when it has hypotheses or variables, or a bare atom known to be ground:
+    the generalized head, and the body of an `Entry.scoped` clause matched
+    at a ground goal, which needs no `free_vars` scan."""
 
     def fail(msg: str) -> tuple[bool, list[str]]:
         return False, [f"FAIL: {msg}"]
 
     eigens = 0
-    work: list[tuple[dict, Evidence, HornFormula]] = [({}, e, f)]
+    work: list[tuple[dict, Evidence, HornFormula | Atom]] = [({}, e, f)]
     while work:
         scope, e, f = work.pop()
         if isinstance(e, EMu):
@@ -88,30 +91,34 @@ def type_check(
                 return fail(
                     f"mu rule needs a head-normal body, got {render_evidence(e.body)}"
                 )
-            work.append(({**scope, e.binder: f}, e.body, f))
+            bound = fact(f) if f.__class__ is Atom else f
+            work.append(({**scope, e.binder: bound}, e.body, f))
             continue
-        fvs = free_vars(f)
-        if f.body or fvs:
-            binders = []
-            inner = e
-            while isinstance(inner, ELam) and len(binders) < len(f.body):
-                binders.append(inner.binder)
-                inner = inner.body
-            if len(binders) != len(f.body):
-                return fail(
-                    f"{render_evidence(e)} does not bind the {len(f.body)} "
-                    f"hypotheses of {render_horn(f)}"
-                )
-            gamma: Subst = {}
-            for v in fvs:
-                eigens += 1
-                gamma[v] = Eigen(f"{v}#{eigens}")
-            inner_scope = dict(scope)
-            for b, atom in zip(binders, f.body):
-                inner_scope[b] = fact(apply(gamma, atom))
-            work.append((inner_scope, inner, fact(apply(gamma, f.head))))
-            continue
-        goal = f.head
+        if f.__class__ is Atom:
+            goal = f
+        else:
+            fvs = free_vars(f)
+            if f.body or fvs:
+                binders = []
+                inner = e
+                while isinstance(inner, ELam) and len(binders) < len(f.body):
+                    binders.append(inner.binder)
+                    inner = inner.body
+                if len(binders) != len(f.body):
+                    return fail(
+                        f"{render_evidence(e)} does not bind the {len(f.body)} "
+                        f"hypotheses of {render_horn(f)}"
+                    )
+                gamma: Subst = {}
+                for v in fvs:
+                    eigens += 1
+                    gamma[v] = Eigen(f"{v}#{eigens}")
+                inner_scope = dict(scope)
+                for b, atom in zip(binders, f.body):
+                    inner_scope[b] = fact(apply(gamma, atom))
+                work.append((inner_scope, inner, apply(gamma, f.head)))
+                continue
+            goal = f.head
         head, args = spine_evidence(e)
         if not isinstance(head, (EAxiom, EVar)):
             return fail(
@@ -119,11 +126,12 @@ def type_check(
                 f"or variable"
             )
         hf = scope.get(head.name)
+        scoped = False
         if hf is None:
             entry = env.lookup(head.name)
             if entry is None:
                 return fail(f"assumption {head.name} is not in scope")
-            hf = entry.formula
+            hf, scoped = entry.formula, entry.scoped
         sigma = match(hf.head, goal)
         if sigma is None:
             return fail(
@@ -136,7 +144,8 @@ def type_check(
                 f"{len(hf.body)} hypotheses"
             )
         for a, b in zip(reversed(args), reversed(hf.body)):
-            work.append((scope, a, fact(apply(sigma, b))))
+            b = apply(sigma, b)
+            work.append((scope, a, b if scoped else fact(b)))
     return True, []
 
 

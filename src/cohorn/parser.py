@@ -21,11 +21,18 @@ letters, digits (`str.isalnum`), `_` and `'`.  The keywords `module`,
 `where`, `axiom`, `lemma` and `auto` are reserved: none of them is an
 identifier anywhere, so `Eq (lemma)` is an error.  Blanks are space, tab,
 CR and LF.
+
+The lexer splits each line, less its `--` comment, into token strings with
+one `findall` and keeps the index of each line's first token, so a line is
+a bisect; a column is computed only for an error, by scanning its line
+again with the same regex.  A clause is in scope when every variable name
+the term rule read in its body was read in its head as well.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .syntax import (
@@ -74,42 +81,17 @@ class SourceModule:
 
 
 # ---------------------------------------------------------------------------
-# Lexer: tokens are (kind, text, line, col) tuples, kind one of "ident",
-# "keyword", "punct" and "eof"
+# Lexer: a token is its text, "" standing for the end of input
 
-_LEXEME = re.compile(
-    r"(?P<nl>\n)|[ \t\r]+|--[^\n]*"  # blanks and comments have no group
-    r"|(?P<punct>=>|[(),])|(?P<ident>\w[\w']*)|(?P<bad>.)"
-)
+_TOKEN = re.compile(r"=>|[(),]|\w[\w']*|[^ \t\r]")
+_PUNCT = {"(", ")", ",", "=>"}
+_NOT_NAMES = _PUNCT | KEYWORDS | {""}
+_ENDS = _NOT_NAMES - {"("}  # the tokens that start no aterm
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
-    toks = []
-    line, start = 1, 0  # the current line and the offset of its first character
-    for m in _LEXEME.finditer(text):
-        kind = m.lastgroup
-        if kind is None:  # blanks or a comment
-            continue
-        if kind == "nl":
-            line += 1
-            start = m.end()
-            continue
-        word = m.group()
-        col = m.start() - start + 1
-        if kind == "ident":
-            # `\w` also matches digits and "_", which cannot start a name
-            if not word[0].isalpha():
-                raise ParseError(f"unexpected character {word[0]!r}", line, col)
-            if word in KEYWORDS:
-                kind = "keyword"
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {word!r}", line, col)
-        toks.append((kind, word, line, col))
-    # end of input sits after the last line's text, less a trailing comment
-    last = text[start:]
-    cut = last.find("--")
-    toks.append(("eof", "", line, (len(last) if cut < 0 else cut) + 1))
-    return toks
+def _code(line: str) -> str:
+    cut = line.find("--")
+    return line if cut < 0 else line[:cut]
 
 
 # ---------------------------------------------------------------------------
@@ -118,111 +100,146 @@ def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
 
 class _Parser:
     def __init__(self, text: str):
-        self.toks = _tokenize(text)
-        self.pos = 0
+        self.lines = text.split("\n")
+        toks, starts = [], []  # the tokens, and the index of each line's first
+        for line in self.lines:
+            starts.append(len(toks))
+            toks += _TOKEN.findall(_code(line))
+        self.toks, self.starts, self.pos = toks, starts, 0
+        # `\w` also matches digits and "_", which cannot start a name; any
+        # bad token fails the whole text before parsing starts
+        bad = {t for t in set(toks) if not t[0].isalpha() and t not in _PUNCT}
+        if bad:
+            self.pos = next(i for i, t in enumerate(toks) if t in bad)
+            raise ParseError(f"unexpected character {toks[self.pos][0]!r}", *self.where())
+        toks.append("")
+        self.names: list[str] = []  # the variable names the term rule read
+        self.leaves: dict[str, Term] = {}  # one Const or Var per name
 
-    def peek(self) -> tuple[str, str, int, int]:
-        return self.toks[self.pos]
+    def where(self) -> tuple[int, int]:
+        """Line and column of the current token, from a second scan of its
+        line; the end of input sits after the last line's code."""
+        line = bisect_right(self.starts, self.pos)
+        code = _code(self.lines[line - 1])
+        cols = [m.start() for m in _TOKEN.finditer(code)] + [len(code)]
+        return line, cols[self.pos - self.starts[line - 1]] + 1
 
     def fail(self, msg: str):
-        kind, text, line, col = self.peek()
-        got = text if kind != "eof" else "end of input"
-        raise ParseError(f"{msg}, got {got!r}", line, col)
+        got = self.toks[self.pos] or "end of input"
+        raise ParseError(f"{msg}, got {got!r}", *self.where())
 
-    def expect(self, kind: str, text: str):
-        t = self.peek()
-        if t[0] != kind or t[1] != text:
+    def expect(self, text: str):
+        if self.toks[self.pos] != text:
             self.fail(f"expected {text!r}")
         self.pos += 1
 
     # grammar rules -------------------------------------------------------
 
     def module(self) -> SourceModule:
-        self.expect("keyword", "module")
-        if self.peek()[0] != "ident":
+        self.expect("module")
+        name = self.toks[self.pos]
+        if name in _NOT_NAMES:
             self.fail("expected an identifier")
-        name = self.peek()[1]
         self.pos += 1
-        self.expect("keyword", "where")
-        decls = []
-        while self.peek()[0] != "eof":
+        self.expect("where")
+        toks, decls = self.toks, []
+        while toks[self.pos]:
             decls.append(self.decl())
         return SourceModule(name, tuple(decls))
 
     def decl(self) -> Decl:
-        kind, text, line, _ = self.peek()
-        if kind != "keyword" or text not in ("axiom", "lemma", "auto"):
+        pos = self.pos
+        kind = self.toks[pos]
+        if kind not in ("axiom", "lemma", "auto"):
             self.fail("expected 'axiom', 'lemma' or 'auto'")
         self.pos += 1
+        names = self.names
+        names.clear()
         formula = self.horn()
-        _check_scope(formula, line)
-        return Decl(text, formula, line)
+        line = bisect_right(self.starts, pos)
+        # a clause is in scope when its body reads no name its head does not
+        if formula.body and not set(names[: self.head_from]).issubset(names[self.head_from :]):
+            _scope_error(formula, line)
+        return Decl(kind, formula, line)
 
     def horn(self) -> HornFormula:
-        body: tuple[Atom, ...] = ()
-        if self.peek()[1] == "(":
+        toks = self.toks
+        if toks[self.pos] == "(":
             # atoms never start with '(' so this must be a context list
             self.pos += 1
             atoms = [self.atom()]
-            while self.peek()[1] == ",":
+            while toks[self.pos] == ",":
                 self.pos += 1
                 atoms.append(self.atom())
-            self.expect("punct", ")")
-            self.expect("punct", "=>")
+            self.expect(")")
+            self.expect("=>")
             body = tuple(atoms)
         else:
             first = self.atom()
-            if self.peek()[1] != "=>":
+            if toks[self.pos] != "=>":
                 return HornFormula((), first)
             self.pos += 1
             body = (first,)
+        self.head_from = len(self.names)
         return HornFormula(body, self.atom())
 
     def atom(self) -> Atom:
-        kind, text, _, _ = self.peek()
-        if kind != "ident" or not text[0].isupper():
+        pred = self.toks[self.pos]
+        if pred in _NOT_NAMES or not pred[0].isupper():
             self.fail("expected a predicate (uppercase identifier)")
         self.pos += 1
-        args = []
-        while self.peek()[0] == "ident" or self.peek()[1] == "(":
-            args.append(self.aterm())
-        return Atom(text, tuple(args))
+        return Atom(pred, self.aterms())
 
-    def aterm(self) -> Term:
-        """An identifier, `(term)` or `(term, term)`, where a term is one or
-        more aterms applied left to right.  Each open parenthesis is one
-        stack entry: the application read so far inside it, and the first
+    def aterms(self) -> tuple[Term, ...]:
+        """The aterms up to a token that starts none.  An aterm is an
+        identifier, `(term)` or `(term, term)`, where a term is one or more
+        aterms applied left to right.  Each open parenthesis is one stack
+        entry: the application read so far inside it, and the first
         component once a comma has been read."""
-        toks = self.toks
+        toks, pos, names, leaves = self.toks, self.pos, self.names, self.leaves
+        args: list[Term] = []
         stack: list[tuple[Term | None, Term | None]] = []
         while True:
-            kind, text, _, _ = toks[self.pos]
-            if kind != "ident":
-                self.expect("punct", "(")
-                stack.append((None, None))
-                continue
-            self.pos += 1
-            t = Const(text) if text[0].isupper() else Var(text)
+            text = toks[pos]
+            if text in _NOT_NAMES:
+                if text == "(":
+                    pos += 1
+                    stack.append((None, None))
+                    continue
+                self.pos = pos
+                if stack:
+                    self.fail("expected '('")
+                return tuple(args)
+            pos += 1
+            t = leaves.get(text)
+            if t is None:
+                t = leaves[text] = Const(text) if text[0].isupper() else Var(text)
+            if t.__class__ is Var:
+                names.append(text)
             # fold the finished aterm into the innermost open parenthesis,
             # closing parentheses until one expects a further aterm
             while stack:
                 app, first = stack.pop()
                 app = t if app is None else App(app, t)
-                kind, text, _, _ = toks[self.pos]
-                if kind == "ident" or text == "(":
+                text = toks[pos]
+                if text not in _ENDS:
                     stack.append((app, first))
                     break
                 if text == "," and first is None:
-                    self.pos += 1
+                    pos += 1
                     stack.append((None, app))
                     break
-                self.expect("punct", ")")
+                if text != ")":
+                    self.pos = pos
+                    self.fail("expected ')'")
+                pos += 1
                 t = app if first is None else pair(first, app)
             else:
-                return t
+                args.append(t)
 
 
-def _check_scope(f: HornFormula, line: int):
+def _scope_error(f: HornFormula, line: int):
+    """Raise for the first body variable missing from the head."""
     head_vars = set(free_vars(f.head))
     for b in f.body:
         for v in free_vars(b):
@@ -242,7 +259,7 @@ def parse_atom(text: str) -> Atom:
     """Parse a single atom, e.g. a --goal argument."""
     p = _Parser(text)
     a = p.atom()
-    if p.peek()[0] != "eof":
+    if p.toks[p.pos]:
         p.fail("trailing input after atom")
     return a
 

@@ -74,6 +74,13 @@ class Entry:
         return not free_vars(self.formula.head)
 
     @cached_property
+    def scoped(self) -> bool:
+        """Whether every body variable occurs in the head, as the parser's
+        scope rule demands, so a match at a ground atom grounds the body."""
+        body = self.formula.body
+        return not body or _var_names((self.formula.head,)).issuperset(_var_names(body))
+
+    @cached_property
     def builder(self):
         """(ref(), the body by `compile_apply`), made like `matcher`."""
         return self.ref(), compile_apply(self.formula.body)
@@ -85,6 +92,20 @@ class Entry:
 
     def __getstate__(self):
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
+
+
+def _var_names(atoms) -> set[str]:
+    """The variable names in the atoms' terms, by a plain walk: about half
+    the cost of `free_vars` or `var_multiset` on a small clause, as no
+    order, count or ground flag is kept."""
+    out, stack = set(), [t for a in atoms for t in a.args]
+    while stack:
+        t = stack.pop()
+        if t.__class__ is App:
+            stack += (t.fun, t.arg)
+        elif t.__class__ is Var:
+            out.add(t.name)
+    return out
 
 
 def axiom(name: str, formula: HornFormula) -> Entry:

@@ -197,6 +197,16 @@ class Atom(_CachedHash):
         return render_atom(self)
 
 
+# Put the cached fields into the attribute keys that App's and Atom's
+# instances share, before other instances exist: CPython adds no key to
+# them once many instances were made, and an instance that then sets a
+# missing one gets a dict of its own, so the first field a run happens to
+# fill would decide how many terms carry one.
+_probe = App(Const(PAIR), Const(PAIR))
+_probe.ground(), hash(_probe), hash(Atom(PAIR))
+del _probe
+
+
 @dataclass(frozen=True)
 class HornFormula:
     """body_1, ..., body_n => head, all variables implicitly universally
@@ -338,10 +348,10 @@ def apply_term(s: Subst, t: Term) -> Term:
 
 def apply(s: Subst, x):
     """Simultaneous substitution over a term, atom or Horn formula."""
+    if x.__class__ is Atom:
+        return Atom(x.pred, tuple([apply_term(s, a) for a in x.args]))
     if isinstance(x, (Var, Const, Eigen, App)):
         return apply_term(s, x)
-    if isinstance(x, Atom):
-        return Atom(x.pred, tuple(apply_term(s, a) for a in x.args))
     if isinstance(x, HornFormula):
         return HornFormula(tuple(apply(s, b) for b in x.body), apply(s, x.head))
     raise TypeError(f"no terms in {type(x).__name__}")
@@ -665,7 +675,8 @@ def subst_evidence(e: Mixed, name: str, repl: Mixed) -> Mixed:
                     fresh = f"{binder}_{k}"
                     k += 1
             todo.append(("bind", node, fresh))
-            todo.append(("then", None, (x, r, r_free, bound | {fresh})))
+            # no binder captures a closed `repl`, so its job keeps no binders
+            todo.append(("then", None, (x, r, r_free, bound | {fresh}) if r_free else job))
             if fresh == binder:
                 out.append(node.body)
             else:

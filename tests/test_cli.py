@@ -12,7 +12,7 @@ import pytest
 from cohorn import cli, corec, evidence
 from cohorn.cli import RunConfig, Session, main, run, run_obs, run_trace
 from cohorn.corec import ProofConfig, _trace_length, auto
-from cohorn.parser import Decl, SourceModule, render
+from cohorn.parser import Decl, ParseError, SourceModule, parse_module, render
 from cohorn.resolve import Fuel, FuelExhausted, GuardViolation, Stuck, count_steps, resolve
 from cohorn.syntax import (
     Atom,
@@ -243,6 +243,26 @@ def test_main_entry_point(corpus, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert captured.out == BUSH_GOLDEN
+
+
+@pytest.mark.parametrize("command", ["check", "trace", "obs"])
+def test_positions_from_a_file_agree_with_the_library(tmp_path, capsys, command):
+    # a lone CR is a blank to the parser, so reading the file must not turn
+    # it into a line end; CRLF line ends keep their positions
+    for text, where in [
+        ("module m where\r\nauto Eq\r 1\r\n", "2:10"),
+        ("module m where\r\naxiom Eq Unit\r\nauto Eq ²\r\n", "3:9"),
+    ]:
+        path = tmp_path / "cr.asl"
+        path.write_bytes(text.encode())
+        with pytest.raises(ParseError) as exc:
+            parse_module(text)
+        assert str(exc.value).startswith(f"{where}: unexpected character")
+        args = [] if command == "check" else ["--goal", "Eq Unit"]
+        assert main([command, str(path), *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{path}:{exc.value}\n"
 
 
 def test_missing_file_exits_two(tmp_path):

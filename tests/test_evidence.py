@@ -2,6 +2,7 @@ import contextlib
 import importlib
 import io
 import random
+from collections import Counter
 
 import pytest
 
@@ -42,6 +43,7 @@ from cohorn.syntax import (
     Var,
     apply,
     fact,
+    free_evars,
     free_vars,
     mk_app,
     match,
@@ -54,6 +56,7 @@ from cohorn.syntax import (
     subst_evidence,
 )
 from conftest import (
+    SHARING_CLAUSES,
     SHARING_COHYPOTHESES,
     best_time,
     eq,
@@ -262,6 +265,60 @@ def mutated(rng, env, ev, formula):
     return replace_at(ev, at, new), formula
 
 
+# a library-built clause whose body variable z is missing from its head,
+# which the parser would reject, and a clause that proves its body atom
+Wrap, z = Const("Wrap"), Var("z")
+WRAP = HornFormula((eq(x), Atom("Q", (z,))), eq(App(Wrap, x)))
+
+
+def wrapped_proofs(rng):
+    """(env, evidence, formula) triples that type-check, built in layers
+    around a resolved ground proof or a hypothesis `b0 : Eq a`: `KW p KQ`
+    through `WRAP`, a fixed point `mu m . KLoop p m` whose binder is
+    applied inside it, a list or a pair.  The fixed points of ground goals
+    meet the checker inside the bodies of other clauses."""
+    base = list(random_sharing_env(rng))
+    env = AxiomEnv([*base, axiom("KQ", parse_horn("Q w")), axiom("KW", WRAP)])
+    name = {e.formula: e.name for e in base}
+    loop = name.get(parse_horn("(Eq a, Eq (Loop a)) => Eq (Loop a)"))
+    lst = name.get(parse_horn("Eq a => Eq (List a)"))
+    pair_rule = name[parse_horn("(Eq x, Eq y) => Eq (x, y)")]
+    out = []
+    for _ in range(4):
+        if rng.random() < 0.3:
+            t, p = Var("a"), EVar("b0")
+        else:
+            t = random_sharing_term(rng, rng.randint(0, 3))
+            try:
+                p = resolve(env, eq(t), 400)
+            except (FuelExhausted, GuardViolation, Stuck):
+                continue
+        for k in range(rng.randint(1, 4)):
+            roll = rng.random()
+            if roll < 0.35:
+                t, p = App(Wrap, t), mk_eapp(EAxiom("KW"), p, EAxiom("KQ"))
+            elif roll < 0.7 and loop:
+                t, p = App(Const("Loop"), t), EMu(f"m{k}", mk_eapp(EAxiom(loop), p, EVar(f"m{k}")))
+            elif roll < 0.85 and lst:
+                t, p = App(Const("List"), t), EApp(EAxiom(lst), p)
+            else:
+                t, p = pair(t, t), mk_eapp(EAxiom(pair_rule), p, p)
+        if free_vars(t):  # over the hypothesis
+            out.append((env, ELam("b0", p), HornFormula((eq(Var("a")),), eq(t))))
+        else:
+            out.append((env, p, fact(eq(t))))
+    return out
+
+
+def kinds_of(ev) -> set[str]:
+    """"unscoped" when ev applies `KW`, "mu" when the binder of a `mu` in
+    ev occurs in its body."""
+    nodes = [subterm_at(ev, p) for p in positions(ev)]
+    return {"unscoped" for n in nodes if n == EAxiom("KW")} | {
+        "mu" for n in nodes if isinstance(n, EMu) and n.binder in free_evars(n.body)
+    }
+
+
 # a phrase of each rule's failure line
 RULES = ("mu rule", "does not bind", "not an assumption", "not in scope", "does not match", "arguments but")
 
@@ -270,10 +327,12 @@ def test_type_check_agrees_with_the_recursive_checker():
     rng = random.Random(29)
     failures = dict.fromkeys(RULES, 0)
     checked = 0
+    kinds = Counter()
     for _ in range(60):
-        for env, ev, formula in proofs(rng):
+        for env, ev, formula in proofs(rng) + wrapped_proofs(rng):
             assert type_check(env, ev, formula) == (True, []), ev
             assert ref_type_check(env, ev, formula) == (True, [])
+            kinds.update(kinds_of(ev))
             checked += 1
             for _ in range(12):
                 bad, f = mutated(rng, env, ev, formula)
@@ -283,6 +342,41 @@ def test_type_check_agrees_with_the_recursive_checker():
                     failures[rule] += not got[0] and rule in got[1][0]
     assert checked >= 150, checked
     assert min(failures.values()) >= 5, failures
+    # the generalization path: unscoped library clauses and `mu` binders
+    assert kinds["unscoped"] >= 40 and kinds["mu"] >= 40, kinds
+
+
+def test_entry_scoped_is_the_parsers_scope_rule():
+    assert all(axiom("K", parse_horn(c)).scoped for c in SHARING_CLAUSES + SHARING_COHYPOTHESES)
+    assert not axiom("KW", WRAP).scoped
+    assert not axiom("K", HornFormula((eq(x), eq(z)), eq(pair(x, x)))).scoped
+
+
+def test_type_check_scans_no_ground_body_atom(monkeypatch):
+    """Work count: checking the proof of `Eq (S^n Z)` calls `free_vars` as
+    often at n = 4,000 as at n = 1,000, since a scoped clause matched at a
+    ground goal has a ground body.  Scanning every node's body atom made
+    n + 1 calls."""
+    calls = [0]
+
+    def counting_free_vars(x):
+        calls[0] += 1
+        return free_vars(x)
+
+    monkeypatch.setattr(importlib.import_module("cohorn.evidence"), "free_vars", counting_free_vars)
+    S, Z = Const("S"), Const("Z")
+
+    def count(n):
+        env = AxiomEnv([axiom("K0", parse_horn("Eq Z")), axiom("K1", parse_horn("Eq x => Eq (S x)"))])
+        t, ev = Z, EAxiom("K0")
+        for _ in range(n):
+            t, ev = App(S, t), EApp(EAxiom("K1"), ev)
+        calls[0] = 0
+        assert type_check(env, ev, fact(eq(t))) == (True, [])
+        return calls[0]
+
+    # the root formula's scan alone
+    assert (count(1000), count(4000)) == (1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import random
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -578,3 +579,92 @@ def test_parser_agrees_with_the_reference_on_mutated_inputs():
                     (d.kind, d.formula) for d in new[1].decls
                 ]
     assert keyword_cases > 0
+
+
+# ---------------------------------------------------------------------------
+# positions deep into generated modules, and the scope check's work
+
+
+def _generated_module(rng: random.Random, n: int, stray: int = -1) -> str:
+    """A module of n random declarations, laid out as files can be: LF or
+    CRLF, tabs, blank lines, `--` comments on lines of their own and after
+    code, declarations spread over several lines, and a last line with or
+    without its line end.  The body of declaration `stray` reads a variable
+    its head lacks."""
+    lines = ["module gen where"]
+    for k in range(n):
+        f = _random_formula(rng)
+        if k == stray:
+            f = HornFormula((Atom("P", (Var("w"),)),) + f.body, f.head)
+        words = render(Decl(rng.choice(["axiom", "lemma", "auto"]), f, 0)).split(" ")
+        line = ""
+        for w in words:
+            if line and rng.random() < 0.08:
+                lines.append(line)
+                line = rng.choice(["  ", "\t", ""])
+            line += rng.choice([" ", " ", "\t", "  "]) + w if line.strip() else w
+        if rng.random() < 0.2:
+            line += rng.choice([" -- ", "\t--", "--"]) + rng.choice(["note", "(x, y", "²"])
+        lines.append(line)
+        if rng.random() < 0.1:
+            lines.append(rng.choice(["", "  ", "-- a comment", "\t-- é"]))
+    newline = rng.choice(["\n", "\r\n"])
+    return newline.join(lines) + rng.choice([newline, ""])
+
+
+def test_positions_deep_in_generated_modules_agree_with_the_reference():
+    rng = random.Random(17)
+    seen = Counter()
+    for _ in range(160):
+        n = 200
+        text = _generated_module(rng, n, rng.randrange(n) if rng.random() < 0.3 else -1)
+        if rng.random() < 0.3:
+            i = rng.randrange(len(text) + 1)
+            text = text[:i] + rng.choice(["²", "é", "\ufeff", "\f"]) + text[i:]
+        if rng.random() < 0.6:
+            text = _mutate(rng, text)
+        if rng.random() < 0.15:  # ends in mid-declaration
+            text = text[: rng.randrange(len(text))]
+        new, old = _outcome(parse_module, text), _outcome(ref_parse_module, text)
+        if new != old:
+            assert _keyword_in_term(new, old), (text, new, old)
+            continue
+        deep = new[0] != "ok" and new[2] > 100 or new[0] == "ok" and len(new[1].decls) >= n
+        seen[new[0], deep] += 1
+    # every outcome occurs past line 100
+    assert all(seen[kind, True] >= 10 for kind in ("ok", "ParseError", "ScopeError")), seen
+
+
+def _wide_module(preds: int = 4, ctors: int = 100, pairs: int = 80) -> str:
+    """The shape of the wide_lemmas benchmark files: 564 declarations."""
+    lines = ["module wide where"]
+    for p in range(preds):
+        lines.append(f"axiom P{p} Z")
+        lines.extend(f"axiom P{p} x => P{p} (C{i} x)" for i in range(ctors))
+    for k in range(pairs):
+        p, i, j = k % preds, k % ctors, 7 * k % ctors
+        lines.append(f"lemma P{p} x => P{p} (C{i} (C{j} x))")
+        lines.append(f"auto P{p} (C{i} (C{j} (C{k} Z)))")
+    return "\n".join(lines) + "\n"
+
+
+def test_scope_check_runs_free_vars_only_on_a_failing_declaration(monkeypatch):
+    calls = []
+
+    def counting_free_vars(x):
+        calls.append(x)
+        return free_vars(x)
+
+    monkeypatch.setattr("cohorn.parser.free_vars", counting_free_vars)
+    text = _wide_module()
+    m = parse_module(text)
+    assert len(m.decls) == 564 and calls == []
+    bad = "axiom P0 y => P0 (C0 x)\n"
+    with pytest.raises(ScopeError) as exc:
+        parse_module(text + bad)
+    # only on the atoms of the last declaration, and the message is the same
+    body, head = Atom("P0", (Var("y"),)), Atom("P0", (App(Const("C0"), Var("x")),))
+    assert calls and set(calls) <= {body, head}
+    message = "variable 'y' occurs in the body but not in the head of (P0 y) => P0 (C0 x)"
+    assert str(exc.value) == f"566: {message}"
+    assert _outcome(ref_parse_module, text + bad) == ("ScopeError", f"566: {message}", 566)

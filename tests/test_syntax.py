@@ -339,6 +339,24 @@ def test_term_hashes_are_the_field_tuple_hashes():
     assert App(Const("F"), Var("x")) != Var("x") and Var("x") != App(Const("F"), Var("x"))
 
 
+def test_terms_that_fill_their_caches_late_get_no_dict_of_their_own():
+    # in a fresh interpreter, 1000 applications are made and hashed before
+    # any fills its groundness flag; none of them may need a dict of its
+    # own for that flag (about 270 bytes each where one is made)
+    code = """
+import tracemalloc
+from cohorn.syntax import App, Atom, Const, Var
+apps = [App(Const("a"), Var("x")) for _ in range(1000)]
+for a in apps:
+    hash(Atom("P", (a,)))
+tracemalloc.start()
+for a in apps:
+    a.ground()
+print(tracemalloc.get_traced_memory()[0])
+"""
+    assert int(run_at_the_default_limit(code)) < 1000 * 16
+
+
 class _Hashed:
     """Stands for a child whose hash is already known."""
 
