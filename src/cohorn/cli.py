@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 from .corec import (
@@ -477,7 +478,11 @@ def _int_at_least(low: int):
 _positive_int = _int_at_least(1)
 
 
-def _build_arg_parser() -> argparse.ArgumentParser:
+@lru_cache(maxsize=1)
+def _arg_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built by the first `main` call.  Parsing
+    fills a new namespace each time and leaves the parser as it was, so
+    every later call in the process reuses it."""
     p = argparse.ArgumentParser(prog="cohorn")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -508,7 +513,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_arg_parser().parse_args(argv)
+    args = _arg_parser().parse_args(argv)
     if args.command == "check":
         cfg = RunConfig(
             path=args.file,

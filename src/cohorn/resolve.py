@@ -30,10 +30,10 @@ from .syntax import (
     MAtom,
     Mixed,
     Var,
-    compile_apply,
-    compile_match,
+    apply_kernel,
     free_vars,
     match,
+    match_kernel,
     mk_eapp,
     render_atom,
 )
@@ -65,8 +65,8 @@ class Entry:
 
     @cached_property
     def matcher(self):
-        """The head by `compile_match`, made on first use and never pickled."""
-        return compile_match(self.formula.head)
+        """The head's `match_kernel`, made on first use and never pickled."""
+        return match_kernel(self.formula.head)
 
     @cached_property
     def ground(self) -> bool:
@@ -82,8 +82,8 @@ class Entry:
 
     @cached_property
     def builder(self):
-        """(ref(), the body by `compile_apply`), made like `matcher`."""
-        return self.ref(), compile_apply(self.formula.body)
+        """(ref(), the body's `apply_kernel`), made like `matcher`."""
+        return self.ref(), apply_kernel(self.formula.body)
 
     def instantiate(self, sigma: dict) -> tuple[Evidence, tuple[Atom, ...]]:
         """(ref(), the body under sigma)."""
@@ -135,10 +135,10 @@ def index_key(atom: Atom):
         return None
     t = atom.args[0]
     n = 0
-    while isinstance(t, App):
+    while t.__class__ is App:
         t = t.fun
         n += 1
-    if isinstance(t, Var):
+    if t.__class__ is Var:
         return None
     return t.__class__, t.name, n
 
@@ -438,7 +438,9 @@ def resolve(env: AxiomEnv, goal: Atom, fuel: Fuel | int = 10_000) -> Evidence:
 
     Clause choice follows `candidates`, or `AxiomEnv.matching` alone with no
     assumptions in scope, with chronological backtracking, one fuel unit
-    per clause application.  Raises FuelExhausted when the budget runs out,
+    per clause application.  With no assumptions, a subgoal whose bucket
+    `matching` keeps at this size holds one clause is matched by that
+    clause's kernel directly: `matching`'s answer, with no list built.  Raises FuelExhausted when the budget runs out,
     Stuck when every alternative fails, and GuardViolation when failure is
     due only to the guardedness restriction.
 
@@ -481,6 +483,7 @@ def resolve(env: AxiomEnv, goal: Atom, fuel: Fuel | int = 10_000) -> Evidence:
     if isinstance(fuel, int):
         fuel = Fuel(fuel)
     plain, matching = not env.assumptions, env.matching
+    kept_of, size = env._store.kept, env._size
     todo = (goal, 0, None)
     done = None
     choices: list[tuple] = []
@@ -522,29 +525,38 @@ def resolve(env: AxiomEnv, goal: Atom, fuel: Fuel | int = 10_000) -> Evidence:
             applied = end
             done = (ev, done)
             continue
-        if plain:
-            cands = matching(atom)
-        else:
-            cands, blocked = candidates(env, atom, depth)
-            saw_blocked = saw_blocked or blocked
-        if blocked or len(cands) != 1:
-            last_event = applied
-        i = 0
-        if len(cands) > 1:
-            choices.append((cands, 1, atom, depth, todo, done))
-        elif not cands:
-            # dead end: chronological backtracking
-            if stuck_at is None and not blocked:
-                stuck_at = atom
-            if not choices:
-                if saw_blocked and stuck_at is None:
-                    raise GuardViolation(goal)
-                raise Stuck(stuck_at if stuck_at is not None else goal)
-            cands, i, atom, depth, todo, done = choices.pop()
-            if i + 1 < len(cands):
-                choices.append((cands, i + 1, atom, depth, todo, done))
-        entry, sigma = cands[i]
-        fuel.spend()
+        sigma = None
+        if plain:  # a lone kept candidate: `matching`'s answer, with no list
+            kept = kept_of.get((atom.pred, index_key(atom)))
+            if kept.__class__ is tuple and kept[0] == size and len(kept[2]) == 1:
+                entry, kernel = kept[2][0]
+                sigma = kernel(atom)
+        if sigma is None:
+            if plain:
+                cands = matching(atom)
+            else:
+                cands, blocked = candidates(env, atom, depth)
+                saw_blocked = saw_blocked or blocked
+            if blocked or len(cands) != 1:
+                last_event = applied
+            i = 0
+            if len(cands) > 1:
+                choices.append((cands, 1, atom, depth, todo, done))
+            elif not cands:
+                # dead end: chronological backtracking
+                if stuck_at is None and not blocked:
+                    stuck_at = atom
+                if not choices:
+                    if saw_blocked and stuck_at is None:
+                        raise GuardViolation(goal)
+                    raise Stuck(stuck_at if stuck_at is not None else goal)
+                cands, i, atom, depth, todo, done = choices.pop()
+                if i + 1 < len(cands):
+                    choices.append((cands, i + 1, atom, depth, todo, done))
+            entry, sigma = cands[i]
+        fuel.remaining -= 1  # `Fuel.spend`, inline
+        if fuel.remaining < 0:
+            raise FuelExhausted()
         ref, build = entry.builder
         body = build(sigma)
         todo = (ref, len(body), atom, depth, applied, todo)

@@ -1,6 +1,6 @@
 """Terms, atoms, Horn formulas, evidence terms and the operations shared by
-the whole engine: substitution, one-sided matching, anti-unification
-and symbol/variable multisets.
+the whole engine: substitution, one-sided matching and the clause kernels
+generated for both, anti-unification and symbol/variable multisets.
 
 Conventions: variable names start lowercase, constant and predicate names
 start uppercase. All node types are frozen dataclasses and safe to share.
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Optional, Union
 
 
@@ -102,21 +103,30 @@ class App(_CachedHash):
 
     def ground(self) -> bool:
         """Whether no variable occurs in the term, kept after the first
-        call and filled bottom-up like the hash."""
+        call.  `path` holds the applications from self down to the node
+        looked at, each the parent of the next: a node is flagged ground
+        once both children are, and a variable or a child flagged
+        non-ground flags the whole path non-ground and ends the walk."""
         if self._ground is None:
-            stack = [self]
-            while stack:
-                node = stack[-1]
-                subterms = node.fun, node.arg
-                missing = [t for t in subterms if type(t) is App and t._ground is None]
-                if missing:
-                    stack += missing
-                else:
-                    stack.pop()
-                    ground = all(
-                        getattr(t, "_ground", type(t) is not Var) for t in subterms
-                    )
-                    object.__setattr__(node, "_ground", ground)
+            path = [self]
+            while path:
+                node = path[-1]
+                fun, arg = node.fun, node.arg
+                ok = fun._ground if fun.__class__ is App else fun.__class__ is not Var
+                if ok is None:
+                    path.append(fun)
+                    continue
+                if ok:
+                    ok = arg._ground if arg.__class__ is App else arg.__class__ is not Var
+                    if ok is None:
+                        path.append(arg)
+                        continue
+                if not ok:
+                    for node in path:
+                        object.__setattr__(node, "_ground", False)
+                    break
+                object.__setattr__(node, "_ground", True)
+                path.pop()
         return self._ground
 
     def __eq__(self, other):
@@ -398,84 +408,205 @@ def match(pattern: Atom, subject: Atom) -> Optional[Subst]:
     for p, t in zip(pattern.args, subject.args):
         if not match_term(p, t, binds):
             return None
-    # drop identity bindings so the result is idempotent
-    return {x: t for x, t in binds.items() if not (isinstance(t, Var) and t.name == x)}
+    return _drop_identity(binds)
 
 
-COMPILE_DEPTH = 32  # past this depth a compiled clause calls match_term or apply_term
+def _drop_identity(binds: Subst) -> Subst:
+    """`binds` without the bindings of a variable to itself, so that the
+    result is idempotent."""
+    return {x: t for x, t in binds.items() if not (t.__class__ is Var and t.name == x)}
 
 
-def _compile_pattern(p: Term, seen: set[str], depth: int = 0):
-    """(subject, binds) -> bool like `match_term`; x bound to x sets key None."""
-    if p.__class__ is Var:
-        x = p.name
-        if x in seen:
-            return lambda t, b: b[x] == t
-        seen.add(x)
+# ---------------------------------------------------------------------------
+# Clause kernels
+#
+# Resolution applies one clause per fuel unit, so a clause tried often runs
+# as generated code.  A head's or a body's *shape* is its preorder walk with
+# every predicate name, ground subterm and variable name replaced by a
+# numbered slot.  `_kernel` writes a shape out as straight-line Python, one
+# statement per node, and compiles it once: the result is a factory that
+# takes the slots' values and returns the kernel.  So clauses of one shape
+# share one `compile`, and no name or constant of a program enters the
+# generated source.
 
-        def bind(t, b):
-            b[x] = t
-            if t.__class__ is Var and t.name == x:
-                b[None] = True
-            return True
+COMPILE_DEPTH = 32  # past this depth a kernel calls match_term or apply_term
+KERNEL_CACHE = 512  # compiled shapes kept, the least recently used dropped first
 
-        return bind
-    if p.__class__ is not App or p.ground():
-        return lambda t, b: t == p
-    if depth == COMPILE_DEPTH:
-        seen.update(free_vars(p))
-        return lambda t, b: match_term(p, t, b) and b.setdefault(None, True)
-    fun, arg = [_compile_pattern(u, seen, depth + 1) for u in (p.fun, p.arg)]
-    return lambda t, b: t.__class__ is App and fun(t.fun, b) and arg(t.arg, b)
+APP, GROUND, DEEP, ATOM = "@", "c", "d", "a"  # shape tokens; a variable is its slot
 
 
-def compile_match(head: Atom):
-    """A function equal to `lambda goal: match(head, goal)`."""
-    pred, n, seen = head.pred, len(head.args), set()
-    parts = [_compile_pattern(p, seen) for p in head.args]
-    first, second = parts if n == 2 else (None, None)
-
-    def matcher(goal: Atom) -> Optional[Subst]:
-        args = goal.args
-        if goal.pred != pred or len(args) != n:
-            return None
-        b: dict = {}
-        if n == 2:  # a binary head needs no loop
-            if not (first(args[0], b) and second(args[1], b)):
-                return None
+def _shape(kind: str, atoms) -> tuple[tuple, list]:
+    """(shape, slot values) of a head (kind "match", one atom) or of a body
+    ("apply").  The shape is the kind, then per atom its arity ("match"),
+    (ATOM, arity), or GROUND for a ground body atom; then per node APP, or
+    GROUND for a ground subterm, or a variable's slot number (slots in
+    first-occurrence order), or at COMPILE_DEPTH a non-ground application
+    as DEEP ("apply") or (DEEP, its variables' slots) ("match").  The
+    values follow the walk: a predicate name, a ground atom or subterm, a
+    variable's name at its first occurrence (and for "apply" the Var
+    itself), a deep term followed by its newly seen variables' names."""
+    shape, values, slots = [kind], [], {}
+    for atom in atoms:
+        if kind == "match":
+            shape.append(len(atom.args))
         else:
-            for m, t in zip(parts, args):
-                if not m(t, b):
-                    return None
-        if None in b:
-            return {x: t for x, t in b.items() if x is not None and t != Var(x)}
-        return b
+            for t in atom.args:
+                if t.__class__ is Var or t.__class__ is App and not t.ground():
+                    shape.append((ATOM, len(atom.args)))
+                    break
+            else:
+                shape.append(GROUND)
+                values.append(atom)
+                continue
+        values.append(atom.pred)
+        stack = [(t, 0) for t in reversed(atom.args)]
+        while stack:
+            t, depth = stack.pop()
+            if t.__class__ is Var:
+                slot = slots.get(t.name)
+                if slot is None:
+                    slot = slots[t.name] = len(slots)
+                    values += (t.name,) if kind == "match" else (t.name, t)
+                shape.append(slot)
+            elif t.__class__ is not App or t.ground():
+                shape.append(GROUND)
+                values.append(t)
+            elif depth < COMPILE_DEPTH:
+                shape.append(APP)
+                stack += ((t.arg, depth + 1), (t.fun, depth + 1))
+            elif kind == "match":
+                names = free_vars(t)
+                new = [x for x in names if x not in slots]
+                for x in new:
+                    slots[x] = len(slots)
+                shape.append((DEEP, *[slots[x] for x in names]))
+                values += (t, *new)
+            else:
+                shape.append(DEEP)
+                values.append(t)
+    return tuple(shape), values
 
-    return matcher
+
+def _match_lines(tokens: tuple) -> tuple[list[str], int]:
+    """The body of `kernel(goal)` for a head's shape, and its number of
+    value parameters.  The subjects left to match wait on `todo`, next
+    last, as the locals holding them."""
+    arity, tokens = tokens[0], tokens[1:]
+    lines = ["a = goal.args", f"if len(a) != {arity} or goal.pred != k0:", " return None"]
+    todo = [f"s{i}" for i in range(arity)]
+    if todo:
+        lines.append(f"{', '.join(todo)}, = a")
+    todo.reverse()
+    k, fresh = 1, arity  # the next value parameter, the next subject local
+    bound: dict[int, tuple[str, str]] = {}  # slot -> (name parameter, value local)
+    for tok in tokens:
+        s = todo.pop()
+        if tok == APP:
+            f, x = f"s{fresh}", f"s{fresh + 1}"
+            fresh += 2
+            lines += [f"if {s}.__class__ is not App:", " return None"]
+            lines += [f"{f} = {s}.fun", f"{x} = {s}.arg"]
+            todo += (x, f)
+        elif tok == GROUND:
+            lines += [f"if {s} is not k{k} and {s} != k{k}:", " return None"]
+            k += 1
+        elif tok in bound:  # a variable seen before
+            v = bound[tok][1]
+            lines += [f"if {s} is not {v} and {s} != {v}:", " return None"]
+        elif tok.__class__ is int:
+            bound[tok] = f"k{k}", s
+            k += 1
+        else:  # (DEEP, slots): match_term on a dict holding the bound ones
+            seed = ", ".join(f"{n}: {v}" for n, v in (bound[v] for v in tok[1:] if v in bound))
+            lines += [f"b = {{{seed}}}", f"if not match_term(k{k}, {s}, b):", " return None"]
+            k += 1
+            for v in tok[1:]:
+                if v not in bound:
+                    bound[v] = f"k{k}", f"s{fresh}"
+                    lines.append(f"s{fresh} = b[k{k}]")
+                    k, fresh = k + 1, fresh + 1
+    found = [bound[v] for v in range(len(bound))]
+    binds = "{" + ", ".join(f"{n}: {v}" for n, v in found) + "}"
+    if found:
+        test = " or ".join(f"{v}.__class__ is Var" for _, v in found)
+        lines += [f"if {test}:", f" return _drop_identity({binds})"]
+    return lines + [f"return {binds}"], k
 
 
-def _compile_term(t: Term, depth: int = 0):
-    """s -> apply_term(s, t), sharing the ground subterms of t."""
-    if t.__class__ is Var:
-        return lambda s: s.get(t.name, t)
-    if t.__class__ is not App or t.ground():
-        return lambda s: t
-    if depth == COMPILE_DEPTH:
-        return lambda s: apply_term(s, t)
-    fun, arg = [_compile_term(u, depth + 1) for u in (t.fun, t.arg)]
-    return lambda s: App(fun(s), arg(s))
+def _apply_lines(tokens: tuple) -> tuple[list[str], int]:
+    """The body of `kernel(s)` for a body's shape, and its number of value
+    parameters.  `building` holds the nodes begun, innermost last, as
+    [constructor, predicate parameter, arity, parts]; a node is built as
+    soon as its last part is, and becomes a part of the node below."""
+    lines, atoms, building = [], [], []
+    k, fresh, local = 0, 0, {}  # next value parameter, next built local, slot -> local
+    for tok in tokens:
+        part = None
+        if tok == APP:
+            building.append(["App", None, 2, []])
+        elif tok.__class__ is tuple:
+            building.append(["Atom", f"k{k}", tok[1], []])
+            k += 1
+        elif tok == GROUND:
+            part, k = f"k{k}", k + 1
+        elif tok == DEEP:
+            part, k = f"t{fresh}", k + 1
+            lines.append(f"t{fresh} = apply_term(s, k{k - 1})")
+            fresh += 1
+        elif tok in local:
+            part = local[tok]
+        else:
+            part = local[tok] = f"x{tok}"
+            lines.append(f"x{tok} = s.get(k{k}, k{k + 1})")
+            k += 2
+        if part is not None:
+            (building[-1][3] if building else atoms).append(part)
+        while building and len(building[-1][3]) == building[-1][2]:
+            cls, pred, _, parts = building.pop()
+            args = f"{pred}, ({', '.join(parts)},)" if cls == "Atom" else ", ".join(parts)
+            lines.append(f"t{fresh} = {cls}({args})")
+            (building[-1][3] if building else atoms).append(f"t{fresh}")
+            fresh += 1
+    return lines + [f"return ({', '.join(atoms)},)" if atoms else "return ()"], k
 
 
-def compile_apply(atoms: tuple[Atom, ...]):
-    """A function equal to `lambda s: tuple(apply(s, a) for a in atoms)`."""
-    parts = [(a.pred, [_compile_term(t) for t in a.args]) for a in atoms]
-    if len(parts) == 1 and len(parts[0][1]) == 1:
-        ((p, (f,)),) = parts
-        return lambda s: (Atom(p, (f(s),)),)
-    if len(parts) == 1 and len(parts[0][1]) == 2:
-        ((p, (f, g)),) = parts
-        return lambda s: (Atom(p, (f(s), g(s))),)
-    return lambda s: tuple([Atom(p, tuple([f(s) for f in fs])) for p, fs in parts])
+_KERNEL_GLOBALS = {
+    "App": App,
+    "Atom": Atom,
+    "Var": Var,
+    "match_term": match_term,
+    "apply_term": apply_term,
+    "_drop_identity": _drop_identity,
+}
+
+
+@lru_cache(maxsize=KERNEL_CACHE)
+def _kernel(shape: tuple):
+    """The factory of a shape's kernel, generated and compiled once."""
+    if shape[0] == "match":
+        head, (lines, n) = "kernel(goal)", _match_lines(shape[1:])
+    else:
+        head, (lines, n) = "kernel(s)", _apply_lines(shape[1:])
+    params = ", ".join(f"k{i}" for i in range(n))
+    lines = [f"def factory({params}):", f" def {head}:", *["  " + l for l in lines]]
+    source = "\n".join(lines + [" return kernel"])
+    scope = dict(_KERNEL_GLOBALS)
+    exec(compile(source, "<clause kernel>", "exec"), scope)
+    return scope["factory"]
+
+
+def match_kernel(head: Atom):
+    """A function equal to `lambda goal: match(head, goal)`, identity
+    bindings dropped; it tests a constant with `is` before `==`."""
+    shape, values = _shape("match", (head,))
+    return _kernel(shape)(*values)
+
+
+def apply_kernel(atoms: tuple[Atom, ...]):
+    """A function equal to `lambda s: tuple(apply(s, a) for a in atoms)`
+    that shares the atoms' ground subterms and ground atoms."""
+    shape, values = _shape("apply", atoms)
+    return _kernel(shape)(*values)
 
 
 # ---------------------------------------------------------------------------

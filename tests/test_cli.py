@@ -245,6 +245,33 @@ def test_main_entry_point(corpus, capsys):
     assert captured.out == BUSH_GOLDEN
 
 
+def test_main_reuses_its_parser_and_leaks_no_option(corpus, capsys):
+    # `check --fuel 5`, `trace`, then `check --json` in one process: each
+    # prints what it prints from a parser built for it alone, and the last
+    # call parses the default fuel, not the first call's
+    dz = str(corpus / "dz.asl")
+    calls = [
+        ["check", dz, "--fuel", "5"],
+        ["trace", dz, "--goal", "D Z Z", "--steps", "3"],
+        ["check", dz, "--json"],
+    ]
+    alone = []
+    for argv in calls:
+        cli._arg_parser.cache_clear()
+        alone.append((main(argv), capsys.readouterr()))
+    cli._arg_parser.cache_clear()
+    together = [(main(argv), capsys.readouterr()) for argv in calls]
+    assert cli._arg_parser.cache_info().misses == 1
+    assert together == alone
+    assert [code for code, _ in together] == [1, 0, 1]
+    # the library's own defaults, so no fuel or flag of the first call leaks
+    assert together[2][1].out == run(RunConfig(path=dz, json=True))[1]
+    assert together[0][1].out == run(RunConfig(path=dz, fuel=5))[1]
+    args = cli._arg_parser().parse_args(calls[2][:2])
+    assert (args.fuel, args.json, args.explain) == (10_000, False, False)
+    assert not hasattr(args, "goal") and not hasattr(args, "steps")
+
+
 @pytest.mark.parametrize("command", ["check", "trace", "obs"])
 def test_positions_from_a_file_agree_with_the_library(tmp_path, capsys, command):
     # a lone CR is a blank to the parser, so reading the file must not turn

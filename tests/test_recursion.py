@@ -54,8 +54,6 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "cohorn"
 ALLOWED_SELF_CALLS = {
     "parser.render": "one level, from a module to its declarations",
     "syntax.apply": "one level, from a Horn formula to its atoms",
-    "syntax._compile_pattern": "stops at COMPILE_DEPTH and calls match_term",
-    "syntax._compile_term": "stops at COMPILE_DEPTH and calls apply_term",
 }
 
 

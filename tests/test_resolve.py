@@ -960,20 +960,29 @@ def unreplayed_resolve(env: AxiomEnv, goal: Atom, fuel: Fuel | int = 10_000) -> 
 
 
 class Meter(Fuel):
-    """Fuel that notes `remaining` after each `spend` that did not raise, so
-    a run can tell fuel lowered by a replay from fuel spent one unit at a
-    time."""
+    """Fuel that notes `remaining` after each unit spend that did not run
+    out, so a run can tell fuel lowered by a replay from fuel spent one
+    unit at a time.  `resolve` spends a unit by lowering `remaining` by 1
+    itself; a replay that happens to lower it by exactly 1 counts as a
+    spend here, so the replay counts err low, never high."""
 
     def __init__(self, remaining):
+        self._remaining = None
         super().__init__(remaining)
         self.spent_to = remaining
         self.spend_raised = False
 
-    def spend(self, n=1):
-        self.spend_raised = True
-        super().spend(n)
-        self.spend_raised = False
-        self.spent_to = self.remaining
+    @property
+    def remaining(self):
+        return self._remaining
+
+    @remaining.setter
+    def remaining(self, value):
+        spent = self._remaining is not None and value == self._remaining - 1
+        self._remaining = value
+        self.spend_raised = spent and value < 0
+        if spent and value >= 0:
+            self.spent_to = value
 
 
 def compare_with_unreplayed(runs, monkeypatch):
@@ -1087,10 +1096,14 @@ def test_replay_makes_the_hptree_burn_linear(phi_hptree, corpus, monkeypatch, ca
     assert outputs[0] == outputs[1]
 
 
-def test_the_plain_burn_goes_through_every_hook(phi_d, monkeypatch):
-    # dz's burn takes the plain-environment path; it still spends fuel one
-    # `Fuel.spend` at a time, looks clauses up through `AxiomEnv.matching`
-    # and checks the path at 16, 32, ..., 8192 applications
+def test_the_plain_burn_takes_the_lone_candidate_step(phi_d, monkeypatch):
+    # dz's burn takes the plain-environment path.  Once a (predicate, key)
+    # has had its COLD_LOOKUPS `match` scans and one `AxiomEnv.matching`
+    # call that keeps its candidates, an application reads the kept lone
+    # candidate, runs its two kernels and lowers `remaining` itself: no
+    # further `matching` call and no `Fuel.spend`.  With `match` on every
+    # lookup, every application goes through `matching`.  Both end alike,
+    # checking the path at 16, 32, ..., 8192 applications.
     calls = Counter()
     matching, path_repeats = AxiomEnv.matching, resolve_module._path_repeats
     checked = []
@@ -1110,12 +1123,18 @@ def test_the_plain_burn_goes_through_every_hook(phi_d, monkeypatch):
 
     monkeypatch.setattr(AxiomEnv, "matching", counted_matching)
     monkeypatch.setattr(resolve_module, "_path_repeats", counted_path_repeats)
-    fuel = Counted(10_000)
-    with pytest.raises(FuelExhausted):
-        resolve(phi_d, Atom("D", (Const("Z"), Const("Z"))), fuel)
-    assert fuel.remaining == -1
-    assert calls == {"spend": 10_001, "matching": 10_001}
-    assert checked == [2**k for k in range(4, 14)]
+    # dz's goals have two keys, Z and S _, so two kept lone candidates
+    cold = resolve_module.COLD_LOOKUPS
+    for cold, lookups in ((cold, 2 * (cold + 1)), (10**9, 10_001)):
+        monkeypatch.setattr(resolve_module, "COLD_LOOKUPS", cold)
+        calls.clear()
+        checked.clear()
+        fuel = Counted(10_000)
+        with pytest.raises(FuelExhausted):
+            resolve(AxiomEnv(phi_d.entries), Atom("D", (Const("Z"), Const("Z"))), fuel)
+        assert fuel.remaining == -1
+        assert calls == {"matching": lookups}
+        assert checked == [2**k for k in range(4, 14)]
 
 
 def test_a_ground_cohypothesis_is_matched_by_its_hash(monkeypatch):

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from cohorn import syntax
 from cohorn.resolve import axiom
 from cohorn.syntax import (
     App,
@@ -23,10 +24,11 @@ from cohorn.syntax import (
     anti_unify_all,
     apply,
     apply_term,
-    compile_apply,
-    compile_match,
+    Eigen,
+    apply_kernel,
     free_vars,
     match,
+    match_kernel,
     mk_app,
     mk_eapp,
     pair,
@@ -442,6 +444,79 @@ print("ok")
 # ---------------------------------------------------------------------------
 # compiled clause heads and bodies
 
+# Names a library caller may build that are no Python, or that are the
+# generated kernels' own names: a kernel must treat each as data.
+ODD_NAMES = [
+    'x"',
+    "y'\n",
+    '__import__("builtins").__dict__.__setitem__("kernel_injected", 1)',
+    "k0",
+    "s0",
+    "goal",
+    "App",
+]
+
+
+def rebuilt(t):
+    """A copy of a term or atom in which every node is a new object, the
+    named leaves too, so equal constants are no longer identical."""
+    if isinstance(t, Atom):
+        return Atom(t.pred, tuple(rebuilt(u) for u in t.args))
+    if isinstance(t, App):
+        return App(rebuilt(t.fun), rebuilt(t.arg))
+    return type(t)(t.name)
+
+
+def tower(t, n: int):
+    for _ in range(n):
+        t = App(Const("S"), t)
+    return t
+
+
+def kernel_cases(rng: random.Random) -> list[tuple[Atom, tuple[Atom, ...], list[Atom]]]:
+    """(head, body, goals) beyond the random clauses: heads and bodies
+    deeper than COMPILE_DEPTH, with variables above, below and on both
+    sides of it; an Eigen and a Const of one name; library-built names from
+    ODD_NAMES; and goals whose constants are equal to the head's but are
+    other objects."""
+    F, odd = Const("F"), Const(rng.choice(ODD_NAMES))
+    cases = []
+    for u, v in ((x, y), (Var(ODD_NAMES[0]), Var(ODD_NAMES[2])), (Var("k1"), Var("goal"))):
+        low = tower(mk_app(F, u, v), COMPILE_DEPTH + 4)  # both variables past the cap
+        heads = [
+            Atom("P", (low, v)),  # v bound past the cap, then compared
+            Atom("P", (v, low)),  # v bound first, then seeded into `match_term`
+            Atom("P", (low, low)),
+            Atom("P", (mk_app(F, tower(u, 3), low), u)),
+            Atom("P", (u, tower(v, COMPILE_DEPTH))),  # v at the cap exactly
+            Atom("P", (u, App(Eigen("Int"), v))),  # an Eigen named like Int
+            Atom("P", (App(Int, u), App(EIGEN, u))),
+            Atom("P", (Const(EIGEN.name), u)),  # a Const named like EIGEN
+            Atom(ODD_NAMES[1], (App(odd, u), v)),
+            Atom(ODD_NAMES[2], (u,)),
+        ]
+        body = (
+            Atom("Q", (low, u)),
+            Atom(ODD_NAMES[5], (tower(App(odd, Var("w")), COMPILE_DEPTH + 2),)),  # w only in the body
+            Atom("R", (tower(Int, COMPILE_DEPTH + 8), App(Eigen("Int"), v))),
+        )
+        for head in heads:
+            names = free_vars(head)
+            pick = lambda: rng.choice([Int, Eigen("Int"), EIGEN, Const(EIGEN.name), App(F, odd)])
+            s1, s2 = ({n: pick() for n in names} for _ in range(2))
+            goals = [
+                head,  # every variable bound to itself
+                apply(s1, head),
+                rebuilt(apply(s1, head)),  # equal constants, other objects
+                Atom(head.pred, tuple(apply(s, a) for s, a in zip((s1, s2), head.args))),
+                apply({names[0]: Var("z")}, head),
+                apply({n: Var(names[0]) for n in names}, head),  # variables merged
+                rebuilt(Atom(head.pred, tuple(apply(s1, a) for a in head.args[:1]) + head.args[1:])),
+                Atom(ODD_NAMES[4], apply(s1, head).args),
+            ]
+            cases.append((head, body + (head,), goals))
+    return cases
+
 
 def test_compiled_heads_and_bodies_agree_with_match_and_apply():
     rng = random.Random(99)
@@ -461,18 +536,29 @@ def test_compiled_heads_and_bodies_agree_with_match_and_apply():
             Atom(head.pred, head.args + (Int,)),  # another arity
             Atom(head.pred, head.args[1:]),
         ]
-        matcher = compile_match(head)
+        matcher = match_kernel(head)
         for goal in goals:
             got = matcher(goal)
             assert got == match(head, goal), (head, goal)
             kinds["hit" if got else "identity" if got == {} else "miss"] += 1
         body = tuple(random_atom(rng, rng.randint(0, 2), free_vars(head) or ["x"]) for _ in range(2))
         body += (head,)
-        build = compile_apply(body)
+        build = apply_kernel(body)
         for sigma in (match(head, g) for g in goals):
             sigma = sigma or {v: random_term(rng, 2, ["z"]) for v in free_vars(head)[:1]}
             assert build(sigma) == tuple(apply(sigma, b) for b in body)
     assert min(kinds.values()) >= 500, kinds
+    kinds = Counter()
+    for head, body, goals in kernel_cases(rng):
+        matcher, build = match_kernel(head), apply_kernel(body)
+        for goal in goals:
+            got = matcher(goal)
+            assert got == match(head, goal), (head, goal)
+            kinds["hit" if got else "identity" if got == {} else "miss"] += 1
+            sigma = got or {v: rebuilt(Int) for v in free_vars(head)}
+            assert build(sigma) == tuple(apply(sigma, b) for b in body)
+    assert min(kinds.values()) >= 30, kinds
+    assert not hasattr(__import__("builtins"), "kernel_injected")
 
 
 def test_kernels_specialised_by_arity_agree_with_match_and_apply():
@@ -508,6 +594,44 @@ def test_kernels_specialised_by_arity_agree_with_match_and_apply():
         assert entry.builder[1](s) == tuple(apply(s, b) for b in body)
         kinds[f"body {len(body)}"] += 1
     assert min(kinds.values()) >= 300, kinds
+    kinds = Counter()
+    for head, body, goals in kernel_cases(rng):
+        entry = axiom(ODD_NAMES[2], HornFormula(body, head))
+        for goal in goals:
+            got = entry.matcher(goal)
+            assert got == match(head, goal), (head, goal)
+            kinds["hit" if got else "identity" if got == {} else "miss"] += 1
+            if got is not None:
+                assert entry.builder[1](got) == tuple(apply(got, b) for b in body)
+    assert min(kinds.values()) >= 30, kinds
+    assert not hasattr(__import__("builtins"), "kernel_injected")
+
+
+def test_clauses_of_one_shape_compile_once():
+    # 200 clauses that differ only in their names and constants share one
+    # head shape and one body shape, so two compiles in all
+    syntax._kernel.cache_clear()
+    for i in range(200):
+        xi, yi = Var(f"x{i}"), Var(ODD_NAMES[i % len(ODD_NAMES)] + str(i))
+        head = Atom(f"P{i}", (App(Const(f"K{i}"), xi), yi))
+        body = (Atom(f"Q{i}", (App(Const(f"C{i}"), yi), xi)),)
+        entry = axiom(f"A{i}", HornFormula(body, head))
+        goal = Atom(f"P{i}", (App(Const(f"K{i}"), Int), EIGEN))
+        sigma = entry.matcher(goal)
+        assert sigma == match(head, goal) == {xi.name: Int, yi.name: EIGEN}
+        assert entry.builder[1](sigma) == (Atom(f"Q{i}", (App(Const(f"C{i}"), EIGEN), Int)),)
+    assert syntax._kernel.cache_info().misses == 2
+
+
+def test_importing_cohorn_compiles_no_kernel():
+    code = """
+import cohorn, cohorn.cli
+from cohorn.syntax import _kernel
+info = _kernel.cache_info()
+assert info.misses == info.currsize == 0, info
+print("ok")
+"""
+    assert run_at_the_default_limit(code) == "ok\n"
 
 
 def test_substitution_by_stack_agrees_with_a_recursive_rebuild():
@@ -534,7 +658,7 @@ def test_deep_substitution_needs_no_deep_recursion():
     # a variable at the bottom of 10,000 nested applications, through
     # `apply_term` and through a compiled body capped at COMPILE_DEPTH
     code = """
-from cohorn.syntax import App, Atom, Const, Var, apply_term, compile_apply
+from cohorn.syntax import App, Atom, Const, Var, apply_kernel, apply_term
 
 def chain(t):
     for i in range(10_000):
@@ -544,7 +668,7 @@ def chain(t):
 s = {"x": App(Const("F"), Const("Int"))}
 t, expected = chain(Var("x")), chain(s["x"])
 assert apply_term(s, t) == expected
-assert compile_apply((Atom("P", (t,)),))(s) == (Atom("P", (expected,)),)
+assert apply_kernel((Atom("P", (t,)),))(s) == (Atom("P", (expected,)),)
 print("ok")
 """
     assert run_at_the_default_limit(code) == "ok\n"
