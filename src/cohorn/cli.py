@@ -110,9 +110,9 @@ class Session:
     warnings: list[str] = field(default_factory=list)
     failed: bool = False
 
-    def load_checks(self):
+    def load_checks(self) -> dict[str, int]:
         """Arity consistency across every formula, plus duplicate and
-        overlapping axiom warnings."""
+        overlapping axiom warnings.  Returns each predicate's arity."""
         arity: dict[str, int] = {}
         for d in self.module.decls:
             for a in (d.formula.head, *d.formula.body):
@@ -152,6 +152,7 @@ class Session:
                     )
             by_key.setdefault((pred, key), []).append(i)
             by_pred.setdefault(pred, []).append(i)
+        return arity
 
     def process(self):
         next_id = len(self.module.decls)
@@ -386,7 +387,11 @@ class _LoadError(Exception):
     the exit-2 failure."""
 
 
-def _load(path: str) -> SourceModule:
+def _load_session(path: str, cfg: ProofConfig, goal_text: Optional[str] = None):
+    """A session on the file's module that passed `load_checks`, the
+    `--goal` atom if given, checked against the module's arities, and the
+    stderr text of the load warnings.  Raises _LoadError with `check`'s
+    exit-2 text."""
     try:
         # no newline translation: a lone CR is a blank, as `parse_module` reads it
         with open(path, encoding="utf-8", newline="") as f:
@@ -396,17 +401,20 @@ def _load(path: str) -> SourceModule:
     except UnicodeDecodeError as ex:
         raise _LoadError(f"error: {path}: {ex}\n") from None
     try:
-        return parse_module(text)
+        session = Session(parse_module(text), cfg)
+        arity = session.load_checks()
     except (ParseError, ScopeError) as ex:
         raise _LoadError(f"{path}:{ex}\n") from None
-
-
-def _load_goal(path: str, goal_text: str) -> tuple[SourceModule, Atom]:
-    module = _load(path)
     try:
-        return module, parse_atom(goal_text)
+        goal = None if goal_text is None else parse_atom(goal_text)
     except ParseError as ex:
         raise _LoadError(f"error: {ex}\n") from None
+    if goal is not None and arity.get(goal.pred, len(goal.args)) != len(goal.args):
+        raise _LoadError(
+            f"error: predicate {goal.pred} used with arity {len(goal.args)} "
+            f"and {arity[goal.pred]}\n"
+        )
+    return session, goal, "".join(f"warning: {w}\n" for w in session.warnings)
 
 
 def _axiom_env(module: SourceModule) -> AxiomEnv:
@@ -421,29 +429,23 @@ def _axiom_env(module: SourceModule) -> AxiomEnv:
 def run(cfg: RunConfig) -> tuple[int, str, str]:
     """The `check` behavior: returns (exit code, stdout text, stderr text)."""
     try:
-        session = Session(_load(cfg.path), cfg)
-        session.load_checks()
+        session, _, err = _load_session(cfg.path, cfg)
     except _LoadError as ex:
         return 2, "", str(ex)
-    except ScopeError as ex:
-        return 2, "", f"{cfg.path}:{ex}\n"
     session.process()
     code = 1 if session.failed else 0
     out = emit_json(session, cfg, code) if cfg.json else _report_text(session, cfg)
-    err = "".join(f"warning: {w}\n" for w in session.warnings)
     return code, out, err
 
 
 def run_trace(path: str, goal_text: str, steps: int, fuel: int = 10_000) -> tuple[int, str, str]:
     try:
-        module, goal = _load_goal(path, goal_text)
+        session, goal, err = _load_session(path, ProofConfig(fuel=fuel), goal_text)
     except _LoadError as ex:
         return 2, "", str(ex)
-    session = Session(module, ProofConfig(fuel=fuel))
     session.process()
-    err = ""
     if session.failed:
-        err = "warning: some declarations failed; tracing under the partial environment\n"
+        err += "warning: some declarations failed; tracing under the partial environment\n"
     states = small_step_trace(session.env, goal, steps)
     out = "".join(render_evidence(s) + "\n" for s in states)
     return 0, out, err
@@ -451,12 +453,12 @@ def run_trace(path: str, goal_text: str, steps: int, fuel: int = 10_000) -> tupl
 
 def run_obs(path: str, goal_text: str, n: int, fuel: int = 10_000) -> tuple[int, str, str]:
     try:
-        module, goal = _load_goal(path, goal_text)
+        session, goal, err = _load_session(path, ProofConfig(fuel=fuel), goal_text)
     except _LoadError as ex:
         return 2, "", str(ex)
-    lines = _obs_lines(_axiom_env(module), goal, n, ProofConfig(fuel=fuel))
+    lines = _obs_lines(_axiom_env(session.module), goal, n, session.cfg)
     code = 0 if any(l.strip() == "equivalent: yes" for l in lines) else 1
-    return code, "".join(l + "\n" for l in lines), ""
+    return code, "".join(l + "\n" for l in lines), err
 
 
 def _int_at_least(low: int):

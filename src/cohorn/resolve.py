@@ -145,8 +145,13 @@ def index_key(atom: Atom):
 
 class _ClauseStore:
     """Append-only list of axiom and lemma entries with their name and
-    (predicate, first-argument key) indexes.  Positions only grow, so every
-    prefix stays valid while later entries are appended.
+    clause indexes.  Positions only grow, so every prefix stays valid while
+    later entries are appended.  `index[pred][key]` lists, ascending, the
+    positions of the heads a goal keyed `key` may match: those keyed `key`
+    or None.  A head keyed None is filed into every list of its predicate,
+    and a key's list starts as a copy of the None list, which serves the
+    keys with no list of their own.  `lookups` maps a goal's (predicate,
+    key) to its count of cold `matching` calls, then to its list.
 
     `overlap_from` is the least size at which two heads of one predicate
     share a key, or a head keyed None meets another head of its predicate,
@@ -157,10 +162,9 @@ class _ClauseStore:
     def __init__(self, entries=()):
         self.entries: list[Entry] = []
         self.positions: dict[str, int] = {}
-        self.buckets: dict[tuple, list[int]] = {}
-        self.preds: set[str] = set()
+        self.index: dict[str, dict] = {}
+        self.lookups: dict[tuple, object] = {}
         self.overlap_from: Optional[int] = None
-        self.kept: dict[tuple, object] = {}  # see `AxiomEnv.matching`
         for e in entries:
             self.append(e)
 
@@ -170,28 +174,22 @@ class _ClauseStore:
         self.positions[entry.name] = pos
         head = entry.formula.head
         pred, key = head.pred, index_key(head)
+        lists = self.index.setdefault(pred, {None: []})
         if self.overlap_from is None and (
-            pred in self.preds
-            if key is None
-            else (pred, key) in self.buckets or (pred, None) in self.buckets
+            any(lists.values()) if key is None else lists.get(key, lists[None])
         ):
             self.overlap_from = pos + 1
-        self.preds.add(pred)
-        self.buckets.setdefault((pred, key), []).append(pos)
+        if key is not None and key not in lists:
+            lists[key] = lists[None][:]
+            if self.lookups.get((pred, key)) is lists[None]:  # warmed on it
+                self.lookups[pred, key] = lists[key]
+        for ps in lists.values() if key is None else (lists[key],):
+            ps.append(pos)
 
-    def bucket(self, pred: str, key, size: int, low: int = 0) -> list[int]:
-        """Positions from `low` below `size` filed under (pred, key), ascending."""
-        positions = self.buckets.get((pred, key), [])
-        return positions[bisect_left(positions, low) : bisect_left(positions, size)]
-
-    def candidates(self, pred: str, key, size: int, low: int = 0) -> list[int]:
-        """Positions from `low` below `size` in the bucket of a goal keyed
-        `key` or in the wildcard bucket, ascending."""
-        found = self.bucket(pred, None, size, low)
-        if key is not None:
-            keyed = self.bucket(pred, key, size, low)
-            found = sorted(found + keyed) if found else keyed
-        return found
+    def heads(self, pred: str, key) -> list[int]:
+        """The list in `index` for a goal of `pred` keyed `key`."""
+        lists = self.index.setdefault(pred, {None: []})
+        return lists.get(key, lists[None])
 
 
 class AxiomEnv:
@@ -200,8 +198,9 @@ class AxiomEnv:
     Axioms and lemmas live in a clause store indexed by predicate and by
     `index_key` of the head, the head symbol of its first argument; heads
     whose first argument is a variable or has a variable spine head (as in
-    `Eq (f (Mu f) a)`) go to a per-predicate wildcard bucket.  `matching`
-    matches only the goal's bucket and the wildcard bucket, newest first.
+    `Eq (f (Mu f) a)`) are keyed None and filed under every key of their
+    predicate.  `matching` matches only the heads filed under the goal's
+    key, newest first.
 
     Environments are not mutated in place.  The store is append-only and
     shared by an environment and everything extended from it; each
@@ -236,21 +235,16 @@ class AxiomEnv:
         ):
             raise ValueError("duplicate entry names in environment")
         for e in entries:
-            if e.kind in CLAUSE_KINDS:
-                self._push(e)
-            else:
+            store, n = self._store, self._size
+            if e.kind not in CLAUSE_KINDS:
                 self.assumptions += (e,)
-                self._marks += (self._size,)
-
-    def _push(self, entry: Entry):
-        store, n = self._store, self._size
-        if n < len(store.entries):
-            if store.entries[n] == entry:
-                self._size = n + 1
-                return
-            store = self._store = _ClauseStore(store.entries[:n])
-        store.append(entry)
-        self._size = n + 1
+                self._marks += (n,)
+                continue
+            if n < len(store.entries) and store.entries[n] != e:
+                store = self._store = _ClauseStore(store.entries[:n])
+            if n == len(store.entries):
+                store.append(e)
+            self._size = n + 1
 
     @property
     def entries(self) -> tuple[Entry, ...]:
@@ -285,31 +279,32 @@ class AxiomEnv:
 
     def matching(self, goal: Atom) -> list[tuple[Entry, dict]]:
         """(entry, sigma) for each axiom and lemma whose head matches `goal`,
-        newest first.  The store counts the lookups per (predicate, key) and
-        runs `match` for the first COLD_LOOKUPS.  Then it keeps the ascending
-        positions and (entry, compiled head) pairs up to the largest size
-        looked up: the store only grows, so kept prefixes stay exact, and
-        concurrent readers keep complete lists."""
+        newest first, from the store's list for the goal's predicate and key
+        below this environment's size.  The store counts the lookups per
+        (predicate, key) and runs `match` for the first COLD_LOOKUPS, then
+        each head's compiled kernel.  A list only grows and every position
+        below the size is filed before the environment exists, so the slice
+        is exact, for a concurrent reader too."""
         store, n, pred, key = self._store, self._size, goal.pred, index_key(goal)
-        kept = store.kept.get((pred, key), 0)
-        if kept.__class__ is int and kept < COLD_LOOKUPS:
-            store.kept[pred, key] = kept + 1
-            found = [store.entries[p] for p in reversed(store.candidates(pred, key, n))]
-            found = [(e, match(e.formula.head, goal)) for e in found]
-            return [(e, s) for e, s in found if s is not None]
-        done, ps, pairs = (0, (), ()) if kept.__class__ is int else kept
-        if done < n:
-            new = store.candidates(pred, key, n, done)
-            ps += tuple(new)
-            new = [store.entries[p] for p in new]
-            pairs += tuple((e, e.matcher) for e in new)
-            store.kept[pred, key] = n, ps, pairs
-        elif done > n:
-            pairs = pairs[: bisect_left(ps, n)]
-        if len(pairs) == 1:  # a lone candidate, the common case
-            s = pairs[0][1](goal)
-            return [] if s is None else [(pairs[0][0], s)]
-        return [(e, s) for e, m in reversed(pairs) if (s := m(goal)) is not None]
+        ps = store.lookups.get((pred, key), 0)
+        if ps.__class__ is int:
+            if ps < COLD_LOOKUPS:
+                store.lookups[pred, key] = ps + 1
+                ps = store.heads(pred, key)
+                found = [store.entries[p] for p in reversed(ps[: bisect_left(ps, n)])]
+                found = [(e, match(e.formula.head, goal)) for e in found]
+                return [(e, s) for e, s in found if s is not None]
+            ps = store.lookups[pred, key] = store.heads(pred, key)
+            # a writer that made the key's own list after `heads` read the
+            # None list found no list in `lookups` to repoint
+            if (now := store.heads(pred, key)) is not ps:
+                ps = store.lookups[pred, key] = now
+        if len(ps) == 1 and ps[0] < n:  # a lone candidate, the common case
+            e = store.entries[ps[0]]
+            s = e.matcher(goal)
+            return [] if s is None else [(e, s)]
+        found = [store.entries[p] for p in reversed(ps[: bisect_left(ps, n)])]
+        return [(e, s) for e in found if (s := e.matcher(goal)) is not None]
 
     def __iter__(self):
         return iter(self.entries)
@@ -438,11 +433,12 @@ def resolve(env: AxiomEnv, goal: Atom, fuel: Fuel | int = 10_000) -> Evidence:
 
     Clause choice follows `candidates`, or `AxiomEnv.matching` alone with no
     assumptions in scope, with chronological backtracking, one fuel unit
-    per clause application.  With no assumptions, a subgoal whose bucket
-    `matching` keeps at this size holds one clause is matched by that
-    clause's kernel directly: `matching`'s answer, with no list built.  Raises FuelExhausted when the budget runs out,
-    Stuck when every alternative fails, and GuardViolation when failure is
-    due only to the guardedness restriction.
+    per clause application.  With no assumptions, a subgoal whose warm
+    index list holds one clause, below this size, is matched by that
+    clause's kernel directly: `matching`'s answer, with no list built.
+    Raises FuelExhausted when the budget runs out, Stuck when every
+    alternative fails, and GuardViolation when failure is due only to the
+    guardedness restriction.
 
     The search state is immutable, so a choice point stores it in O(1):
     `todo` links pending work, leftmost first: subgoals (atom, depth, rest)
@@ -483,7 +479,7 @@ def resolve(env: AxiomEnv, goal: Atom, fuel: Fuel | int = 10_000) -> Evidence:
     if isinstance(fuel, int):
         fuel = Fuel(fuel)
     plain, matching = not env.assumptions, env.matching
-    kept_of, size = env._store.kept, env._size
+    lookups, entries, size = env._store.lookups, env._store.entries, env._size
     todo = (goal, 0, None)
     done = None
     choices: list[tuple] = []
@@ -526,11 +522,11 @@ def resolve(env: AxiomEnv, goal: Atom, fuel: Fuel | int = 10_000) -> Evidence:
             done = (ev, done)
             continue
         sigma = None
-        if plain:  # a lone kept candidate: `matching`'s answer, with no list
-            kept = kept_of.get((atom.pred, index_key(atom)))
-            if kept.__class__ is tuple and kept[0] == size and len(kept[2]) == 1:
-                entry, kernel = kept[2][0]
-                sigma = kernel(atom)
+        if plain:  # a lone warm candidate: `matching`'s answer, with no list
+            ps = lookups.get((atom.pred, index_key(atom)))
+            if ps.__class__ is list and len(ps) == 1 and ps[0] < size:
+                entry = entries[ps[0]]
+                sigma = entry.matcher(atom)
         if sigma is None:
             if plain:
                 cands = matching(atom)

@@ -201,6 +201,34 @@ def test_trace_subcommand(tmp_path):
     ]
 
 
+ARITY_CLASH = "module m where\naxiom P Z\naxiom P x => P (S x) Z\nauto P (S Z)\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [lambda p, g: run_trace(p, g, steps=5), lambda p, g: run_obs(p, g, n=2)],
+    ids=["trace", "obs"],
+)
+def test_trace_and_obs_run_the_load_checks_of_check(tmp_path, command):
+    src = tmp_path / "arity.asl"
+    src.write_text(ARITY_CLASH)
+    code, out, err = run(RunConfig(path=str(src)))
+    assert (code, out, err) == (2, "", f"{src}:3: predicate P used with arity 2 and 1\n")
+    assert command(str(src), "P (S Z)") == (code, out, err)
+    # a goal whose arity differs from the module's is rejected like one
+    # that does not parse
+    src.write_text("module m where\naxiom P Z\naxiom P Z\n")
+    assert command(str(src), "P Z Z Z") == (
+        2,
+        "",
+        "error: predicate P used with arity 3 and 1\n",
+    )
+    # the load warnings reach stderr, as under `check`
+    _, _, err = command(str(src), "P Z")
+    assert err == "warning: duplicate axiom formula P Z\n"
+    assert run(RunConfig(path=str(src)))[2] == err
+
+
 def test_trace_flag_appends_goal_traces(corpus):
     code, out, _ = run(RunConfig(path=str(corpus / "bush.asl"), trace=True))
     assert code == 0
@@ -627,7 +655,7 @@ def test_steps_from_the_search_equal_the_replay(corpus):
             compare(g.report.steps, g.replay(count_steps, session.cfg.fuel))
 
     for path in sorted(corpus.glob("*.asl")):
-        compare_session(processed(cli._load(str(path)), ProofConfig()))
+        compare_session(processed(parse_module(path.read_text()), ProofConfig()))
     replayed_in_corpus = sides["replayed"]
     rng = random.Random(17)  # the generated modules with lemma goals
     for _ in range(120):

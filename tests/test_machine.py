@@ -36,7 +36,7 @@ from cohorn.evidence import (
     observational_points,
     whnf,
 )
-from cohorn.parser import parse_atom
+from cohorn.parser import parse_atom, parse_module
 from cohorn.resolve import (
     AxiomEnv,
     Entry,
@@ -540,7 +540,7 @@ print(*spine(m.state()), *spine(m.state(Hole())))
 def corpus_goals():
     out = []
     for name, goal in GROUND_GOALS:
-        env = cli._axiom_env(cli._load(str(CORPUS / name)))
+        env = cli._axiom_env(parse_module((CORPUS / name).read_text()))
         out.append((env, parse_atom(goal)))
     return out
 
@@ -673,7 +673,7 @@ def test_evidence_reduction_matches_the_reference():
 
 
 def test_detect_simple_loop_on_bush_at_the_default_fuel():
-    env = cli._axiom_env(cli._load(str(CORPUS / "bush.asl")))
+    env = cli._axiom_env(parse_module((CORPUS / "bush.asl").read_text()))
     start = time.perf_counter()
     assert detect_simple_loop(env, parse_atom("Eq (Mu HBush Unit)"), 10_000) is None
     assert time.perf_counter() - start < 10  # well under 1 s on a quiet host

@@ -26,6 +26,7 @@ from cohorn.resolve import (
     OverlapError,
     StepMachine,
     Stuck,
+    _ClauseStore,
     _unique_clause,
     axiom,
     build_tree,
@@ -299,20 +300,20 @@ CLAUSE_KINDS = (EntryKind.AXIOM, EntryKind.LEMMA)
 
 # The two clause-selection policies that `candidates` replaced, kept as the
 # reference clause order of `reference_resolve`.
-# They are verbatim but for `env.clauses_for(goal)`, now the function below,
-# the removed `AxiomEnv.clauses_for` with `self` renamed `env`.
+# They are verbatim but for `env.clauses_for(goal)`, now the function below:
+# a scan of the environment's clauses that shares no code with the index.
 
 
 def clauses_for(env, goal):
     """The axioms and lemmas whose head may match `goal`, oldest first:
-    a superset of those that do, so callers still `match` each."""
-    store, n = env._store, env._size
+    those of its predicate keyed like it or keyed None, a superset of those
+    that match, so callers still `match` each."""
     key = index_key(goal)
-    found = store.bucket(goal.pred, None, n)
-    if key is not None:
-        keyed = store.bucket(goal.pred, key, n)
-        found = sorted(found + keyed) if found else keyed
-    return [store.entries[p] for p in found]
+    return [
+        e
+        for e in env.clauses()
+        if e.formula.head.pred == goal.pred and index_key(e.formula.head) in (key, None)
+    ]
 
 
 class NewestFirst:
@@ -516,6 +517,49 @@ def test_heads_overlap_is_kept_per_store_and_size():
     assert [e._store.overlap_from for e in (wider, other, again)] == [2, None, 2]
 
 
+@pytest.mark.parametrize("cold", [0, 2])
+def test_the_index_stays_exact_under_interleaved_appends_and_lookups(cold, monkeypatch):
+    # one head at a time, with lookups on every snapshot after each append:
+    # a goal key warms on its predicate's None list before a head with that
+    # key arrives, and heads keyed None arrive after keyed lists exist
+    monkeypatch.setattr(resolve_module, "COLD_LOOKUPS", cold)
+    rng = random.Random(26 + cold)
+    events = Counter()
+    for _ in range(100):
+        heads, snapshots = [], [AxiomEnv()]
+        for i in range(rng.randint(1, 16)):
+            head = random_index_head(rng, ["x", "y", "f", "a"])
+            pred, key = head.pred, index_key(head)
+            store = snapshots[-1]._store
+            lists = store.index.get(pred, {})
+            if key is None:
+                events["None head after a keyed list"] += len(lists) > 1
+            elif key not in lists:
+                warm = store.lookups.get((pred, key)).__class__ is list
+                events["new list for a key warmed on the None list"] += warm
+            heads.append(head)
+            snapshots.append(snapshots[-1].extended(axiom(f"K{i}", fact(head))))
+            goals = [random_index_goal(rng, heads) for _ in range(4)]
+            for env in snapshots:
+                clause_heads = [e.formula.head for e in env.clauses()]
+                assert env.heads_overlap() == brute_overlap(clause_heads)
+                for goal in goals:
+                    expected = brute_newest_first(env, goal)
+                    events["hit"] += bool(expected)
+                    assert env.matching(goal) == expected
+                    for depth in (0, 1):
+                        assert candidates(env, goal, depth) == (expected, False)
+                    names = brute_unique_names(env, goal)
+                    if len(names) > 1:
+                        with pytest.raises(OverlapError) as exc:
+                            _unique_clause(env, goal)
+                        assert exc.value.names == names
+                    else:
+                        found = _unique_clause(env, goal)
+                        assert ([found[0].name] if found else []) == names
+    assert len(events) == 3 and min(events.values()) >= 20, events
+
+
 def test_branched_snapshots_are_isolated(monkeypatch):
     x = Var("x")
     base = AxiomEnv([axiom("K0", fact(eq(Int)))])
@@ -551,8 +595,8 @@ def test_branched_snapshots_are_isolated(monkeypatch):
     with pytest.raises(ValueError):
         base.extended(a, axiom("KA", fact(eq(Int))))
     assert e1.entries == (base.entries[0], a)
-    # candidate tuples kept at one size stay exact when the tip grows and
-    # when a snapshot below the tip copies the store
+    # the index stays exact when the tip grows and when a snapshot below
+    # the tip copies the store
     monkeypatch.setattr(resolve_module, "COLD_LOOKUPS", 0)
     heads = [eq(App(Const("List"), x)), eq(x), eq(App(Const("List"), Int)), eq(Int)]
     goals = [eq(App(Const("List"), Int)), eq(Int), eq(Const("Unit")), Atom("R")]
@@ -563,21 +607,28 @@ def test_branched_snapshots_are_isolated(monkeypatch):
         for goal in goals:
             assert list(env.matching(goal)) == brute_newest_first(env, goal)
     store = chain[-1]._store
-    # one tuple per (pred, key), covering the largest size looked up
-    assert len(store.kept) == len(goals)
-    assert all(done == len(chain) for done, _, _ in store.kept.values())
     tip = chain[-1].extended(axiom("T", fact(eq(x))))
     copied = chain[1].extended(lemma("C", fact(eq(Int)), EAxiom("C")))
     assert tip._store is store and copied._store is not store
     for env in (*chain, tip, copied):
         for goal in goals:
             assert list(env.matching(goal)) == brute_newest_first(env, goal)
-    for kept in (store, copied._store):
-        assert kept.kept.keys() <= {(g.pred, index_key(g)) for g in goals}
-        for done, ps, pairs in kept.kept.values():
-            assert len(set(ps)) == len(ps) == len(pairs) and ps == tuple(sorted(ps))
-            assert [e for e, _ in pairs] == [kept.entries[p] for p in ps]
-    assert all(done == len(tip) for done, _, _ in store.kept.values())
+    for s in (store, copied._store):
+        # each list holds, ascending and once each, exactly the heads of its
+        # predicate keyed `key` or None
+        for pred, lists in s.index.items():
+            for key, ps in lists.items():
+                assert ps == [
+                    p
+                    for p, e in enumerate(s.entries)
+                    if e.formula.head.pred == pred
+                    and index_key(e.formula.head) in (key, None)
+                ]
+        # each goal key is warm, and reads its own list, or the None list
+        # while it has none
+        assert s.lookups.keys() == {(g.pred, index_key(g)) for g in goals}
+        for (pred, key), ps in s.lookups.items():
+            assert ps is s.heads(pred, key)
 
 
 def test_pickled_entries_carry_no_compiled_clause(phi_hptree, monkeypatch):
@@ -642,6 +693,27 @@ def test_snapshots_read_safely_while_the_store_grows():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert len(base) == 1
+
+
+def test_a_key_warmed_as_a_writer_files_its_list_reads_that_list(monkeypatch):
+    # the interleaving a concurrent writer can cause, forced: the writer
+    # files the key's own list after a reader read the None list for the
+    # key, and before the reader stores it as the key's list
+    monkeypatch.setattr(resolve_module, "COLD_LOOKUPS", 0)
+    P, C = (lambda t: Atom("P", (t,))), Const("C")
+    base = AxiomEnv([axiom("W", fact(P(Var("x"))))])  # a head keyed None
+    heads, tip = _ClauseStore.heads, []
+
+    def interleaved(store, pred, key):
+        ps = heads(store, pred, key)
+        if not tip:
+            tip.append(base.extended(axiom("K", fact(P(C)))))
+        return ps
+
+    monkeypatch.setattr(_ClauseStore, "heads", interleaved)
+    assert [e.name for e, _ in base.matching(P(C))] == ["W"]
+    assert [e.name for e, _ in tip[0].matching(P(C))] == ["K", "W"]
+    assert base._store.lookups[P(C).pred, index_key(P(C))] == [0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -1099,8 +1171,8 @@ def test_replay_makes_the_hptree_burn_linear(phi_hptree, corpus, monkeypatch, ca
 def test_the_plain_burn_takes_the_lone_candidate_step(phi_d, monkeypatch):
     # dz's burn takes the plain-environment path.  Once a (predicate, key)
     # has had its COLD_LOOKUPS `match` scans and one `AxiomEnv.matching`
-    # call that keeps its candidates, an application reads the kept lone
-    # candidate, runs its two kernels and lowers `remaining` itself: no
+    # call that maps it to its index list, an application reads the lone
+    # candidate there, runs its two kernels and lowers `remaining` itself: no
     # further `matching` call and no `Fuel.spend`.  With `match` on every
     # lookup, every application goes through `matching`.  Both end alike,
     # checking the path at 16, 32, ..., 8192 applications.
@@ -1123,7 +1195,7 @@ def test_the_plain_burn_takes_the_lone_candidate_step(phi_d, monkeypatch):
 
     monkeypatch.setattr(AxiomEnv, "matching", counted_matching)
     monkeypatch.setattr(resolve_module, "_path_repeats", counted_path_repeats)
-    # dz's goals have two keys, Z and S _, so two kept lone candidates
+    # dz's goals have two keys, Z and S _, so two lists of one candidate
     cold = resolve_module.COLD_LOOKUPS
     for cold, lookups in ((cold, 2 * (cold + 1)), (10**9, 10_001)):
         monkeypatch.setattr(resolve_module, "COLD_LOOKUPS", cold)
