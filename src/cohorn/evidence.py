@@ -258,8 +258,7 @@ def _hyp_context(env: AxiomEnv, start: Atom, d: Atom, fuel: int) -> Optional[Mix
     with them holed, or None.  `d` is a loop hypothesis, irreducible, so
     only a normal form reached within fuel can qualify."""
     m = StepMachine(env, MAtom(start))
-    while m.steps < fuel - 1 and m.advance():
-        pass
+    m.run(fuel - 1)
     if fuel < 1 or m.reducible or set(iter_atoms(m.state())) != {d}:
         return None
     return subst_leaf(m.state(), MAtom(d), Hole())
@@ -273,12 +272,22 @@ def iterate_context(ctx: Mixed, d: Atom, m: int) -> Mixed:
     return out
 
 
-def _instance_of(goal: Atom):
-    """atom -> match(goal, atom).  A ground goal matches only itself, so an
-    atom with another cached hash is rejected in O(1), not by walking both
-    terms; a goal with variables always goes to `match`."""
+def _iterates(m: StepMachine, goal: Atom, fuel: int):
+    """Advance m until `fuel` steps in all or a normal form, yielding
+    (redex, sigma) at each state whose one reducible atom is the redex
+    sigma(goal).  An instance of the goal is reducible, so other states
+    cost O(1) to reject; a ground goal matches only itself, so a redex
+    with another cached hash is rejected in O(1) too, not by `match`."""
     h = None if free_vars(goal) else hash(goal)
-    return lambda atom: None if h is not None and hash(atom) != h else match(goal, atom)
+    while m.steps < fuel and m.advance():
+        if m.reducible != 1:
+            continue
+        atom = m.redex()
+        if h is not None and hash(atom) != h:
+            continue
+        sigma = match(goal, atom)
+        if sigma is not None:
+            yield atom, sigma
 
 
 def detect_simple_loop(
@@ -289,20 +298,11 @@ def detect_simple_loop(
     A state qualifies when some subterm is a match-instance of the goal,
     every other atom is irreducible, and each of those hypothesis atoms D
     satisfies sigma D ->* C_D[D] with no further atoms, all within fuel.
-    The trace is stepped lazily and the search stops at the first verified
-    loop.  Instances of the goal are reducible, so a qualifying state has
-    one reducible atom, the next redex; other states cost O(1) to reject,
-    and so does a redex other than a ground goal itself (`_instance_of`).
+    The trace is stepped lazily (`_iterates`) and the search stops at the
+    first verified loop.
     """
     m = StepMachine(env, MAtom(goal))
-    instance = _instance_of(goal)
-    while m.steps < fuel and m.advance():
-        if m.reducible != 1:
-            continue
-        atom = m.redex()
-        sigma = instance(atom)
-        if sigma is None:
-            continue
+    for atom, sigma in _iterates(m, goal, fuel):
         state = m.state()
         hyps = tuple(dict.fromkeys(a for a in iter_atoms(state) if a != atom))
         ctxs: dict[Atom, Mixed] = {}
@@ -339,15 +339,7 @@ def observational_points(
         return records
     hypset = set(loop.hypotheses)
     m = StepMachine(loop.env, MAtom(loop.goal))
-    instance = _instance_of(loop.goal)
-    while m.steps < fuel and m.advance():
-        # the hypotheses are irreducible and an instance of the goal is
-        # reducible, so only a state with one reducible atom can qualify
-        if m.reducible != 1:
-            continue
-        atom = m.redex()
-        if instance(atom) is None:
-            continue
+    for atom, _ in _iterates(m, loop.goal, fuel):
         if {a for a in iter_atoms(m.state()) if a != atom} != hypset:
             continue
         records.append(

@@ -208,7 +208,7 @@ class _Parser:
                     continue
                 self.pos = pos
                 if stack:
-                    self.fail("expected '('")
+                    self.fail("expected a term")
                 return tuple(args)
             pos += 1
             t = leaves.get(text)

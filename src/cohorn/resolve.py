@@ -703,6 +703,13 @@ class StepMachine:
         self.steps += 1
         return True
 
+    def run(self, limit: int) -> int:
+        """Advance until `limit` steps in all or a normal form; the step
+        count."""
+        while self.steps < limit and self.advance():
+            pass
+        return self.steps
+
     def state(self, focus: Optional[Mixed] = None) -> Mixed:
         """The current state, or `focus` plugged in for the leftmost
         reducible atom (the whole state at a normal form).  What the cursor
@@ -724,16 +731,9 @@ class StepMachine:
         return stack[0]
 
 
-def step(env: AxiomEnv, state: Mixed) -> Optional[Mixed]:
-    """One small resolution step: rewrite the leftmost reducible atom
-    through the newest clause whose head matches it, or None when every
-    atom is irreducible."""
-    return next(islice(small_steps(env, state), 1, None), None)
-
-
 def small_steps(env: AxiomEnv, state: Mixed):
-    """The small-step trace from `state`: the state itself, then every
-    state `step` reaches, up to a normal form if there is one."""
+    """The small-step trace from `state`: the state itself, then the state
+    after each `StepMachine.advance`, up to a normal form if there is one."""
     m = StepMachine(env, state)
     yield state
     while m.advance():
@@ -748,10 +748,7 @@ def trace(env: AxiomEnv, goal: Atom, max_steps: int = 10_000) -> list[Mixed]:
 
 def count_steps(env: AxiomEnv, goal: Atom, max_steps: int = 10_000) -> int:
     """len(trace(env, goal, max_steps)) - 1, building no state."""
-    m = StepMachine(env, MAtom(goal))
-    while m.steps < max_steps and m.advance():
-        pass
-    return m.steps
+    return StepMachine(env, MAtom(goal)).run(max_steps)
 
 
 # ---------------------------------------------------------------------------

@@ -429,22 +429,21 @@ def _drop_identity(binds: Subst) -> Subst:
 # share one `compile`, and no name or constant of a program enters the
 # generated source.
 
-COMPILE_DEPTH = 32  # past this depth a kernel calls match_term or apply_term
+COMPILE_DEPTH = 32  # a clause with a non-ground term this deep runs match or apply
 KERNEL_CACHE = 512  # compiled shapes kept, the least recently used dropped first
 
-APP, GROUND, DEEP, ATOM = "@", "c", "d", "a"  # shape tokens; a variable is its slot
+APP, GROUND, ATOM = "@", "c", "a"  # shape tokens; a variable is its slot
 
 
-def _shape(kind: str, atoms) -> tuple[tuple, list]:
+def _shape(kind: str, atoms) -> tuple[Optional[tuple], Optional[list]]:
     """(shape, slot values) of a head (kind "match", one atom) or of a body
-    ("apply").  The shape is the kind, then per atom its arity ("match"),
-    (ATOM, arity), or GROUND for a ground body atom; then per node APP, or
-    GROUND for a ground subterm, or a variable's slot number (slots in
-    first-occurrence order), or at COMPILE_DEPTH a non-ground application
-    as DEEP ("apply") or (DEEP, its variables' slots) ("match").  The
-    values follow the walk: a predicate name, a ground atom or subterm, a
-    variable's name at its first occurrence (and for "apply" the Var
-    itself), a deep term followed by its newly seen variables' names."""
+    ("apply"), or (None, None) when a non-ground application lies at
+    COMPILE_DEPTH.  The shape is the kind, then per atom its arity
+    ("match"), (ATOM, arity), or GROUND for a ground body atom; then per
+    node APP, or GROUND for a ground subterm, or a variable's slot number
+    (slots in first-occurrence order).  The values follow the walk: a
+    predicate name, a ground atom or subterm, a variable's name at its
+    first occurrence (and for "apply" the Var itself)."""
     shape, values, slots = [kind], [], {}
     for atom in atoms:
         if kind == "match":
@@ -471,19 +470,11 @@ def _shape(kind: str, atoms) -> tuple[tuple, list]:
             elif t.__class__ is not App or t.ground():
                 shape.append(GROUND)
                 values.append(t)
-            elif depth < COMPILE_DEPTH:
+            elif depth == COMPILE_DEPTH:
+                return None, None
+            else:
                 shape.append(APP)
                 stack += ((t.arg, depth + 1), (t.fun, depth + 1))
-            elif kind == "match":
-                names = free_vars(t)
-                new = [x for x in names if x not in slots]
-                for x in new:
-                    slots[x] = len(slots)
-                shape.append((DEEP, *[slots[x] for x in names]))
-                values += (t, *new)
-            else:
-                shape.append(DEEP)
-                values.append(t)
     return tuple(shape), values
 
 
@@ -513,18 +504,9 @@ def _match_lines(tokens: tuple) -> tuple[list[str], int]:
         elif tok in bound:  # a variable seen before
             v = bound[tok][1]
             lines += [f"if {s} is not {v} and {s} != {v}:", " return None"]
-        elif tok.__class__ is int:
+        else:
             bound[tok] = f"k{k}", s
             k += 1
-        else:  # (DEEP, slots): match_term on a dict holding the bound ones
-            seed = ", ".join(f"{n}: {v}" for n, v in (bound[v] for v in tok[1:] if v in bound))
-            lines += [f"b = {{{seed}}}", f"if not match_term(k{k}, {s}, b):", " return None"]
-            k += 1
-            for v in tok[1:]:
-                if v not in bound:
-                    bound[v] = f"k{k}", f"s{fresh}"
-                    lines.append(f"s{fresh} = b[k{k}]")
-                    k, fresh = k + 1, fresh + 1
     found = [bound[v] for v in range(len(bound))]
     binds = "{" + ", ".join(f"{n}: {v}" for n, v in found) + "}"
     if found:
@@ -549,10 +531,6 @@ def _apply_lines(tokens: tuple) -> tuple[list[str], int]:
             k += 1
         elif tok == GROUND:
             part, k = f"k{k}", k + 1
-        elif tok == DEEP:
-            part, k = f"t{fresh}", k + 1
-            lines.append(f"t{fresh} = apply_term(s, k{k - 1})")
-            fresh += 1
         elif tok in local:
             part = local[tok]
         else:
@@ -574,8 +552,6 @@ _KERNEL_GLOBALS = {
     "App": App,
     "Atom": Atom,
     "Var": Var,
-    "match_term": match_term,
-    "apply_term": apply_term,
     "_drop_identity": _drop_identity,
 }
 
@@ -597,15 +573,21 @@ def _kernel(shape: tuple):
 
 def match_kernel(head: Atom):
     """A function equal to `lambda goal: match(head, goal)`, identity
-    bindings dropped; it tests a constant with `is` before `==`."""
+    bindings dropped; it tests a constant with `is` before `==`.  A head
+    too deep to compile gets that lambda."""
     shape, values = _shape("match", (head,))
+    if shape is None:
+        return lambda goal: match(head, goal)
     return _kernel(shape)(*values)
 
 
 def apply_kernel(atoms: tuple[Atom, ...]):
     """A function equal to `lambda s: tuple(apply(s, a) for a in atoms)`
-    that shares the atoms' ground subterms and ground atoms."""
+    that shares the atoms' ground subterms and ground atoms.  A body too
+    deep to compile gets that lambda."""
     shape, values = _shape("apply", atoms)
+    if shape is None:
+        return lambda s: tuple([apply(s, a) for a in atoms])
     return _kernel(shape)(*values)
 
 

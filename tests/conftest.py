@@ -6,12 +6,13 @@ import random
 import subprocess
 import sys
 import time
+from itertools import islice
 
 import pytest
 
 from cohorn.evidence import EvReducer
 from cohorn.parser import parse_module
-from cohorn.resolve import AxiomEnv, axiom, cohypothesis, hypothesis
+from cohorn.resolve import AxiomEnv, axiom, cohypothesis, hypothesis, small_steps
 from cohorn.syntax import (
     App,
     Atom,
@@ -186,6 +187,12 @@ def ev_step(state):
         return None
     r.contract()
     return r.state()
+
+
+def first_step(env: AxiomEnv, state):
+    """The state one small step after `state`, or None at a normal form:
+    the second state of `small_steps`."""
+    return next(islice(small_steps(env, state), 1, None), None)
 
 
 def best_time(fn, repeats=3):

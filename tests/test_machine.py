@@ -20,6 +20,7 @@ from conftest import (
     CORPUS,
     best_time,
     ev_step,
+    first_step,
     random_loop_goal,
     random_looping_env,
     random_terminating_case,
@@ -48,7 +49,6 @@ from cohorn.resolve import (
     axiom,
     count_steps,
     small_steps,
-    step,
     trace,
 )
 from cohorn.syntax import (
@@ -424,7 +424,7 @@ def test_step_on_mixed_states_matches_the_reference():
     env = LIST.extended(*PAIR.clauses()[1:])
     for _ in range(300):
         state = random_state(rng, 5)
-        assert step(env, state) == ref_step(env, state)
+        assert first_step(env, state) == ref_step(env, state)
         got = list(islice(small_steps(env, state), 60))
         assert got == list(islice(ref_steps(env, state), 60))
 
@@ -435,6 +435,13 @@ def test_step_count_is_the_trace_length():
         for k in (0, 1, 40, 400):
             assert count_steps(env, goal, k) == len(trace(env, goal, k)) - 1
             assert count_steps(env, goal, k) == min(k, total)
+            assert StepMachine(env, MAtom(goal)).run(k) == min(k, total)
+        # a run resumed at a larger limit ends where one run to it does
+        for k1, k2 in ((0, 40), (1, 40), (40, 400), (40, 40)):
+            m, fresh = StepMachine(env, MAtom(goal)), StepMachine(env, MAtom(goal))
+            m.run(k1)
+            assert m.run(k2) == fresh.run(k2) == min(k2, total)
+            assert m.state() == fresh.state()
 
 
 def test_machine_keeps_the_count_of_reducible_atoms():

@@ -190,8 +190,8 @@ ERROR_TABLE = [
     ('module', 'module m where\naxiom Eq a = Eq b', "ParseError", "unexpected character '='", 2, 12),
     ('module', 'module m where\nauto Eq (List a\n', "ParseError", "expected ')', got 'end of input'", 3, 1),
     ('module', 'module m where\nauto Eq (a, b, c)', "ParseError", "expected ')', got ','", 2, 14),
-    ('module', 'module m where\nauto Eq (a,)', "ParseError", "expected '(', got ')'", 2, 12),
-    ('module', 'module m where\nauto Eq ()', "ParseError", "expected '(', got ')'", 2, 10),
+    ('module', 'module m where\nauto Eq (a,)', "ParseError", "expected a term, got ')'", 2, 12),
+    ('module', 'module m where\nauto Eq ()', "ParseError", "expected a term, got ')'", 2, 10),
     ('module', 'module m where\nauto Eq (a --)', "ParseError", "expected ')', got 'end of input'", 2, 12),
     ('module', '--)', "ParseError", "expected 'module', got 'end of input'", 1, 1),
     ('module', 'module m where\nauto Eq (a -- b)\n', "ParseError", "expected ')', got 'end of input'", 3, 1),
@@ -210,15 +210,17 @@ ERROR_TABLE = [
     ('module', 'module m where\r\naxiom Eq a\r\n  => 1', "ParseError", "unexpected character '1'", 3, 6),
     ('module', 'module m where\r\nauto Eq (a\r\n', "ParseError", "expected ')', got 'end of input'", 3, 1),
     ('module', 'module m where\r\n\r\naxiom Eq a =>\r\n  Eq\r\n', "ScopeError", "variable 'a' occurs in the body but not in the head of (Eq a) => Eq", 3, None),
-    ('module', 'module m where\nauto Eq (lemma)\n', "ParseError", "expected '(', got 'lemma'", 2, 10),
-    ('module', 'module m where\nauto Eq (a, where)\n', "ParseError", "expected '(', got 'where'", 2, 13),
-    ('atom', 'Eq (auto a)', "ParseError", "expected '(', got 'auto'", 1, 5),
+    ('module', 'module m where\nauto Eq (lemma)\n', "ParseError", "expected a term, got 'lemma'", 2, 10),
+    ('module', 'module m where\nauto Eq (a, where)\n', "ParseError", "expected a term, got 'where'", 2, 13),
+    ('atom', 'Eq (auto a)', "ParseError", "expected a term, got 'auto'", 1, 5),
     ('atom', 'Eq a )', "ParseError", "trailing input after atom, got ')'", 1, 6),
     ('atom', 'Eq a b, c', "ParseError", "trailing input after atom, got ','", 1, 7),
     ('atom', 'Eq lemma', "ParseError", "trailing input after atom, got 'lemma'", 1, 4),
     ('atom', 'eq a', "ParseError", "expected a predicate (uppercase identifier), got 'eq'", 1, 1),
     ('atom', '', "ParseError", "expected a predicate (uppercase identifier), got 'end of input'", 1, 1),
     ('atom', 'Eq (a', "ParseError", "expected ')', got 'end of input'", 1, 6),
+    ('atom', 'P (', "ParseError", "expected a term, got 'end of input'", 1, 4),
+    ('atom', 'P (S Z,)', "ParseError", "expected a term, got ')'", 1, 8),
 ]
 
 
@@ -261,7 +263,7 @@ def test_keywords_are_not_variables_so_rendering_round_trips():
     # `Eq (lemma)` used to parse, with a variable `lemma` that renders as
     # `Eq lemma`, which does not parse back
     for kw in sorted(KEYWORDS):
-        with pytest.raises(ParseError, match=f"^2:10: expected '\\(', got '{kw}'$"):
+        with pytest.raises(ParseError, match=f"^2:10: expected a term, got '{kw}'$"):
             parse_module(f"module m where\nauto Eq ({kw})\n")
     m = SourceModule("m", (Decl("auto", fact(eq(Var("lemma_"))), 2),))
     assert parse_module(render(m)) == m
@@ -472,6 +474,8 @@ class RefParser:
         return first
 
     def term(self) -> Term:
+        if self.peek().kind != "ident" and not self._at_aterm():
+            self.fail("expected a term")
         t = self.aterm()
         while self._at_aterm():
             t = App(t, self.aterm())
@@ -542,7 +546,7 @@ def _keyword_in_term(new, old) -> bool:
     if new[0] != "ParseError":
         return False
     _, message, line, col = new
-    if message not in {f"{line}:{col}: expected '(', got {kw!r}" for kw in KEYWORDS}:
+    if message not in {f"{line}:{col}: expected a term, got {kw!r}" for kw in KEYWORDS}:
         return False
     return old[0] != "ParseError" or old[2:] > (line, col)
 

@@ -485,7 +485,7 @@ def kernel_cases(rng: random.Random) -> list[tuple[Atom, tuple[Atom, ...], list[
         low = tower(mk_app(F, u, v), COMPILE_DEPTH + 4)  # both variables past the cap
         heads = [
             Atom("P", (low, v)),  # v bound past the cap, then compared
-            Atom("P", (v, low)),  # v bound first, then seeded into `match_term`
+            Atom("P", (v, low)),  # v bound first, then met again past the cap
             Atom("P", (low, low)),
             Atom("P", (mk_app(F, tower(u, 3), low), u)),
             Atom("P", (u, tower(v, COMPILE_DEPTH))),  # v at the cap exactly
@@ -523,7 +523,7 @@ def test_compiled_heads_and_bodies_agree_with_match_and_apply():
     kinds = Counter()
     S = Const("S")
     deep = x
-    for _ in range(COMPILE_DEPTH + 8):  # past the depth where `match_term` takes over
+    for _ in range(COMPILE_DEPTH + 8):  # past the depth where the kernel is `match` itself
         deep = App(S, deep)
     extra = [Atom("P", (deep, x)), Atom("P", (deep, apply({"x": Int}, deep)))]
     for k in range(2500):
@@ -559,6 +559,42 @@ def test_compiled_heads_and_bodies_agree_with_match_and_apply():
             assert build(sigma) == tuple(apply(sigma, b) for b in body)
     assert min(kinds.values()) >= 30, kinds
     assert not hasattr(__import__("builtins"), "kernel_injected")
+
+
+def open_depth(atoms) -> int:
+    """The depth of the deepest application with a variable below it in
+    the atoms' arguments, or -1 when there is none."""
+    out, stack = -1, [(t, 0) for a in atoms for t in a.args]
+    while stack:
+        t, depth = stack.pop()
+        if isinstance(t, App) and not t.ground():
+            out = max(out, depth)
+            stack += ((t.fun, depth + 1), (t.arg, depth + 1))
+    return out
+
+
+def test_deep_clauses_compile_nothing():
+    # a head or body with a non-ground application at COMPILE_DEPTH runs
+    # `match` or `apply` as it is: no shape of it is compiled
+    rng = random.Random(41)
+    syntax._kernel.cache_clear()
+    deep_heads = 0
+    for head, body, goals in kernel_cases(rng):
+        assert open_depth(body) >= COMPILE_DEPTH
+        build = apply_kernel(body)
+        matcher = match_kernel(head) if open_depth((head,)) >= COMPILE_DEPTH else None
+        deep_heads += matcher is not None
+        for goal in goals:
+            sigma = match(head, goal)
+            if matcher is not None:
+                assert matcher(goal) == sigma, (head, goal)
+            sigma = sigma or {v: rebuilt(Int) for v in free_vars(head)}
+            assert build(sigma) == tuple(apply(sigma, b) for b in body)
+    assert deep_heads >= 10
+    assert syntax._kernel.cache_info().misses == 0
+    # one level shallower, the variable's parent is compiled
+    match_kernel(Atom("P", (tower(x, COMPILE_DEPTH),)))
+    assert syntax._kernel.cache_info().misses == 1
 
 
 def test_kernels_specialised_by_arity_agree_with_match_and_apply():
@@ -656,7 +692,7 @@ def scanned_apply(s, t):
 
 def test_deep_substitution_needs_no_deep_recursion():
     # a variable at the bottom of 10,000 nested applications, through
-    # `apply_term` and through a compiled body capped at COMPILE_DEPTH
+    # `apply_term` and through the kernel of a body too deep to compile
     code = """
 from cohorn.syntax import App, Atom, Const, Var, apply_kernel, apply_term
 
