@@ -272,22 +272,30 @@ def iterate_context(ctx: Mixed, d: Atom, m: int) -> Mixed:
     return out
 
 
-def _iterates(m: StepMachine, goal: Atom, fuel: int):
+def _iterates(m: StepMachine, goal: Atom, fuel: int, recur: bool = False):
     """Advance m until `fuel` steps in all or a normal form, yielding
     (redex, sigma) at each state whose one reducible atom is the redex
-    sigma(goal).  An instance of the goal is reducible, so other states
+    sigma(goal); with `recur`, end after the first state whose redex is
+    the goal itself.  An instance of the goal is reducible, so other states
     cost O(1) to reject; a ground goal matches only itself, so a redex
-    with another cached hash is rejected in O(1) too, not by `match`."""
-    h = None if free_vars(goal) else hash(goal)
-    while m.steps < fuel and m.advance():
-        if m.reducible != 1:
+    with another cached hash is rejected in O(1) too, not by `match`.  A
+    ground goal, unlike an instance of one with variables, is never a redex
+    of a finished subtrace (its unfolding would contain itself and never
+    end), so m replays finished atoms for it."""
+    h = hash(goal)
+    ground = not free_vars(goal)
+    limit = fuel if ground else None
+    while m.steps < fuel and m.advance(limit):
+        if m.reducible != 1 and not recur:
             continue
         atom = m.redex()
-        if h is not None and hash(atom) != h:
-            continue
-        sigma = match(goal, atom)
-        if sigma is not None:
-            yield atom, sigma
+        same = hash(atom) == h
+        if m.reducible == 1 and (same or not ground):
+            sigma = match(goal, atom)
+            if sigma is not None:
+                yield atom, sigma
+        if recur and same and atom == goal:
+            return
 
 
 def detect_simple_loop(
@@ -299,10 +307,13 @@ def detect_simple_loop(
     every other atom is irreducible, and each of those hypothesis atoms D
     satisfies sigma D ->* C_D[D] with no further atoms, all within fuel.
     The trace is stepped lazily (`_iterates`) and the search stops at the
-    first verified loop.
+    first verified loop, or after the first state C[goal] whose redex is
+    the goal again: each later state is C[T] for an earlier state T, with
+    T's redex and at least T's reducible atoms and hypotheses, so it
+    cannot qualify where T did not.
     """
     m = StepMachine(env, MAtom(goal))
-    for atom, sigma in _iterates(m, goal, fuel):
+    for atom, sigma in _iterates(m, goal, fuel, recur=True):
         state = m.state()
         hyps = tuple(dict.fromkeys(a for a in iter_atoms(state) if a != atom))
         ctxs: dict[Atom, Mixed] = {}

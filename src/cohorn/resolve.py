@@ -321,7 +321,13 @@ class AxiomEnv:
 
 
 class FuelExhausted(Exception):
-    """The step budget ran out; the derivation may be divergent."""
+    """The step budget ran out; the derivation may be divergent.  `resolve`'s
+    cycle rule sets `atom` and `depth` to the atom repeated and the guard
+    depth of the repeat.  The message is empty."""
+
+    def __init__(self, atom: Optional[Atom] = None, depth: Optional[int] = None):
+        super().__init__()
+        self.atom, self.depth = atom, depth
 
 
 class Stuck(Exception):
@@ -403,13 +409,14 @@ def candidates(env: AxiomEnv, goal: Atom, depth: int):
 FIRST_CYCLE_CHECK = 16
 
 
-def _path_repeats(todo, seen: list) -> bool:
-    """Whether the closers in `todo`, the derivation path, prove one atom
-    twice at guard depths that are equal or both >= 1.  `seen` carries one
-    `resolve` call's last walk: [its topmost closer cell, the atoms proved
-    at depth 0, those at depth >= 1] on the path from that cell down.  A
-    walk that meets the cell adds only the closers above it; one that
-    reaches the bottom without meeting it builds the sets afresh."""
+def _path_repeats(todo, seen: list):
+    """A closer of `todo`, the derivation path, whose atom another closer
+    there proves too, at guard depths that are equal or both >= 1, or
+    None.  `seen` carries one `resolve` call's last walk: [its topmost
+    closer cell, the atoms proved at depth 0, those at depth >= 1] on the
+    path from that cell down.  A walk that meets the cell adds only the
+    closers above it; one that reaches the bottom without meeting it builds
+    the sets afresh."""
     mark, new = seen[0], []
     while todo is not None and todo is not mark:
         if len(todo) == 6:
@@ -422,9 +429,9 @@ def _path_repeats(todo, seen: list) -> bool:
     for cell in new:
         atoms = seen[1 + (cell[3] >= 1)]
         if cell[2] in atoms:
-            return True
+            return cell
         atoms.add(cell[2])
-    return False
+    return None
 
 
 def resolve(env: AxiomEnv, goal: Atom, fuel: Fuel | int = 10_000) -> Evidence:
@@ -448,19 +455,20 @@ def resolve(env: AxiomEnv, goal: Atom, fuel: Fuel | int = 10_000) -> Evidence:
     the proofs found so far, newest first.  A choice point is (candidates,
     next index, atom, depth, todo, done).
 
-    Cycle rule: FuelExhausted is also raised as soon as the current
-    derivation path, the closers in `todo`, proves one atom twice at guard
-    depths that are equal or both >= 1, since `candidates` offers the same
-    pairs at such depths.  Subgoals share no variables, so the search
-    below the repeat replays the search below its first occurrence: it
-    meets the atom again, and the continuation that rejected the first
-    occurrence's solutions rejects the repeat's.  No answer or failure can
-    follow, and with any finite budget the run would end in FuelExhausted
-    anyway.  The path is checked when the count of clause applications
-    reaches 16, 32, 64, ..., so the checks cost amortised O(1) per
-    application; terms cache their hashes, so hashing a path costs only its
-    newly built terms, and a check walks only the closers pushed since the
-    last one while that one's topmost closer is still on the path.
+    Cycle rule: FuelExhausted, carrying the atom and depth, is also raised
+    as soon as the current derivation path, the closers in `todo`, proves
+    one atom twice at guard depths that are equal or both >= 1, since
+    `candidates` offers the same pairs at such depths.  Subgoals share no
+    variables, so the search below the repeat replays the search below its
+    first occurrence: it meets the atom again, and the continuation that
+    rejected the first occurrence's solutions rejects the repeat's.  No
+    answer or failure can follow, and with any finite budget the run would
+    end in FuelExhausted anyway.  The path is checked when the count of
+    clause applications reaches 16, 32, 64, ..., so the checks cost
+    amortised O(1) per application; terms cache their hashes, so hashing a
+    path costs only its newly built terms, and a check walks only the
+    closers pushed since the last one while that one's topmost closer is
+    still on the path.
 
     Replay: a closer records its atom, per guard class, with its proof and
     the applications its subtree took, when the subtree was choice-free:
@@ -512,8 +520,8 @@ def resolve(env: AxiomEnv, goal: Atom, fuel: Fuel | int = 10_000) -> Evidence:
             while next_check <= min(end, applied + fuel.remaining):
                 fuel.remaining -= next_check - applied
                 applied, next_check = next_check, 2 * next_check
-                if _path_repeats(todo, seen):
-                    raise FuelExhausted()
+                if cell := _path_repeats(todo, seen):
+                    raise FuelExhausted(cell[2], cell[3])
             # past the budget, stop at -1 as one `spend` at a time does
             fuel.remaining = max(fuel.remaining - (end - applied), -1)
             if fuel.remaining < 0:
@@ -562,8 +570,8 @@ def resolve(env: AxiomEnv, goal: Atom, fuel: Fuel | int = 10_000) -> Evidence:
         applied += 1
         if applied == next_check:
             next_check *= 2
-            if _path_repeats(todo, seen):
-                raise FuelExhausted()
+            if cell := _path_repeats(todo, seen):
+                raise FuelExhausted(cell[2], cell[3])
     return done[0]
 
 
@@ -644,21 +652,26 @@ class StepMachine:
     closer or a leaf.  A closer (head, n) follows the parts of an
     application and applies head to the n subterms they leave (head None:
     the first part is the head), and (node, BINDER) rebuilds an ELam or
-    EMu around its body.  A rewrite pushes a closer (ref, n) after the n
-    body atoms; `state` is flattened into the same cells once.  `done`
-    links the items the cursor has passed, newest first, as they were.
+    EMu around its body.  A rewrite pushes a closer ((ref, n), atom, step
+    count, rest) after the n body atoms; `state` is flattened into the same
+    cells once.  `done` links the subterms the cursor has passed, newest
+    first, folded as it passes them; `state()` folds the pending cells.
+    Each body atom is matched once, when it is made, which gives the count
+    of reducible atoms; its clause body is instantiated only when the atom
+    is rewritten.  A step costs O(body size) amortised.
 
-    A step builds neither an MAtom nor an application: only `state()`
-    applies the closers, and it keeps what it folded of `done` for its next
-    call.  Each body atom is matched once, when it is made, which gives the
-    count of reducible atoms; its clause body is instantiated only when the
-    atom is rewritten.  A step costs O(body size) amortised."""
+    Replay: once the cursor passes a rewrite's closer, the atom's subtrace
+    has ended, and `_finished` maps the atom to its normal form and the
+    steps the subtrace took.  That subtrace is a function of the atom
+    alone, so `advance(limit)` may put the normal form in the atom's place
+    in one move, charged those steps."""
 
     def __init__(self, env: AxiomEnv, state: Mixed):
         self.env = env
         self.steps = 0
         self.reducible = 0
-        self._done = self._folded = None
+        self._finished: dict[Atom, tuple[Mixed, int]] = {}
+        self._done = None
         todo = None
         for item in _cells(state):
             if item.__class__ is MAtom:
@@ -680,22 +693,36 @@ class StepMachine:
         while todo is not None:
             if len(todo) == 2:
                 item, todo = todo
+            elif len(todo) == 4:
+                item, atom, start, todo = todo
+                done = _push(item, done)
+                self._finished[atom] = done[0], self.steps - start
+                continue
             elif todo[1] is None:
                 item, _, todo = todo
             else:
                 break
-            done = (item, done)
+            done = _push(item, done)
         self._todo, self._done = todo, done
         return None if todo is None else todo[0]
 
-    def advance(self) -> bool:
-        """Rewrite the leftmost reducible atom; False at a normal form."""
-        if self.redex() is None:
+    def advance(self, limit: Optional[int] = None) -> bool:
+        """Rewrite the leftmost reducible atom; False at a normal form.
+        With a `limit`, a finished atom whose subtrace ends within it is
+        replaced by its normal form instead, all its steps in one move."""
+        atom = self.redex()
+        if atom is None:
             return False
         _, (entry, sigma), todo = self._todo
+        hit = self._finished.get(atom) if limit and self._finished else None
+        if hit is not None and self.steps + hit[1] <= limit:
+            self._todo = (hit[0], todo)
+            self.reducible -= 1
+            self.steps += hit[1]
+            return True
         ref, body = entry.instantiate(sigma)
         found = [self._clause(b) for b in body]
-        todo = ((ref, len(body)), todo)
+        todo = ((ref, len(body)), atom, self.steps, todo)
         for b, f in zip(reversed(body), reversed(found)):
             todo = (b, f, todo)
         self._todo = todo
@@ -704,26 +731,18 @@ class StepMachine:
         return True
 
     def run(self, limit: int) -> int:
-        """Advance until `limit` steps in all or a normal form; the step
-        count."""
-        while self.steps < limit and self.advance():
+        """Advance, replaying finished atoms, until `limit` steps in all or
+        a normal form; the step count."""
+        while self.steps < limit and self.advance(limit):
             pass
         return self.steps
 
     def state(self, focus: Optional[Mixed] = None) -> Mixed:
         """The current state, or `focus` plugged in for the leftmost
-        reducible atom (the whole state at a normal form).  What the cursor
-        passed since the last call is folded and kept folded."""
+        reducible atom (the whole state at a normal form)."""
         if focus is not None and self.redex() is None:
             return focus
-        passed, stack = [], self._done
-        while stack is not self._folded:
-            item, stack = stack
-            passed.append(item)
-        for item in reversed(passed):
-            stack = _push(item, stack)
-        self._done = self._folded = stack
-        todo = self._todo
+        stack, todo = self._done, self._todo
         if focus is not None:
             stack, todo = (focus, stack), todo[-1]
         while todo is not None:
@@ -747,7 +766,7 @@ def trace(env: AxiomEnv, goal: Atom, max_steps: int = 10_000) -> list[Mixed]:
 
 
 def count_steps(env: AxiomEnv, goal: Atom, max_steps: int = 10_000) -> int:
-    """len(trace(env, goal, max_steps)) - 1, building no state."""
+    """len(trace(env, goal, max_steps)) - 1, by `StepMachine.run`."""
     return StepMachine(env, MAtom(goal)).run(max_steps)
 
 

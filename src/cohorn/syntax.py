@@ -207,16 +207,6 @@ class Atom(_CachedHash):
         return render_atom(self)
 
 
-# Put the cached fields into the attribute keys that App's and Atom's
-# instances share, before other instances exist: CPython adds no key to
-# them once many instances were made, and an instance that then sets a
-# missing one gets a dict of its own, so the first field a run happens to
-# fill would decide how many terms carry one.
-_probe = App(Const(PAIR), Const(PAIR))
-_probe.ground(), hash(_probe), hash(Atom(PAIR))
-del _probe
-
-
 @dataclass(frozen=True)
 class HornFormula:
     """body_1, ..., body_n => head, all variables implicitly universally
@@ -259,37 +249,57 @@ class EVar:
         return self.name
 
 
-@dataclass(frozen=True)
-class EApp:
+class _Nested(_CachedHash):
+    """Evidence nodes with evidence children: `App`'s equality, and a hash
+    cached and filled like `App`'s, where a node waits on `stack` while a
+    child is an unhashed one.  Their dataclasses keep both, and the repr."""
+
+    __eq__ = App.__eq__
+
+    def __repr__(self):
+        return render_evidence(self)
+
+    def _key(self):  # a binder's; EApp has its own
+        return self.binder, self.body
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            stack, node = [], self
+            while True:
+                key = node._key()
+                for child in key:
+                    if isinstance(child, _Nested) and child._hash is None:
+                        stack.append(node)
+                        node = child
+                        break
+                else:
+                    object.__setattr__(node, "_hash", h := hash(key))
+                    if not stack:
+                        return h
+                    node = stack.pop()
+        return h
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class EApp(_Nested):
     fun: "Mixed"
     arg: "Mixed"
 
-    __eq__ = App.__eq__
-
-    def __repr__(self):
-        return render_evidence(self)
+    def _key(self):
+        return self.fun, self.arg
 
 
-@dataclass(frozen=True)
-class ELam:
+@dataclass(frozen=True, eq=False, repr=False)
+class ELam(_Nested):
     binder: str
     body: "Mixed"
 
-    __eq__ = App.__eq__
 
-    def __repr__(self):
-        return render_evidence(self)
-
-
-@dataclass(frozen=True)
-class EMu:
+@dataclass(frozen=True, eq=False, repr=False)
+class EMu(_Nested):
     binder: str
     body: "Mixed"
-
-    __eq__ = App.__eq__
-
-    def __repr__(self):
-        return render_evidence(self)
 
 
 @dataclass(frozen=True)
@@ -310,6 +320,16 @@ class Hole:
 
 Evidence = Union[EAxiom, EVar, EApp, ELam, EMu]
 Mixed = Union[Evidence, MAtom, Hole]
+
+# Put the cached fields into the attribute keys that the instances of each
+# class with a cache share, before other instances exist: CPython adds no
+# key to them once many instances were made, and an instance that then
+# sets a missing one gets a dict of its own, so the first field a run
+# happens to fill would decide how many terms carry one.
+_probe = App(Const(PAIR), Const(PAIR))
+_probe.ground(), hash(_probe), hash(Atom(PAIR))
+hash(EApp(EMu("a", Hole()), ELam("a", Hole())))
+del _probe
 
 
 def mk_eapp(head: Mixed, *args: Mixed) -> Mixed:

@@ -22,6 +22,8 @@ from cohorn.evidence import hnf, type_check
 from cohorn.loopdetect import find_critical_triples
 from cohorn.resolve import (
     AxiomEnv,
+    FuelExhausted,
+    GuardViolation,
     Stuck,
     axiom,
     build_tree,
@@ -45,6 +47,7 @@ from cohorn.syntax import (
     mk_app,
     mk_eapp,
     pair,
+    render_atom,
     spine_evidence,
 )
 from conftest import (
@@ -421,6 +424,41 @@ def test_prefix_trees_give_the_full_trees_report(monkeypatch):
             if after <= n:
                 kinds["full tree" if n == 1500 else f"prefix {n}"] += 1
     assert min(kinds.values()) >= 10 and len(kinds) == 6, kinds
+
+
+def test_atoms_the_cycle_rule_repeats_have_fixed_point_proofs():
+    # the paper's claim on generated looping programs: when `resolve`'s
+    # cycle rule finds an atom A repeated beneath a clause application
+    # (guard depth >= 1), `prove_horn` proves A by `mu` evidence that
+    # type-checks; always when each clause has at most one body atom, and
+    # in most cases otherwise, where a failure on one branch can come back
+    cfg = ProofConfig(fuel=2000)
+    tried, proven = Counter(), Counter()
+    for seed in range(3000):
+        rng = random.Random(seed)
+        env = random_looping_env(rng, overlapping=seed % 2 == 0)
+        try:
+            resolve(env, random_loop_goal(rng, env), cfg.fuel)
+            continue
+        except (Stuck, GuardViolation):
+            continue
+        except FuelExhausted as ex:
+            assert str(ex) == ""
+            atom, depth = ex.atom, ex.depth
+        if atom is None or depth < 1:
+            continue
+        linear = all(len(e.formula.body) <= 1 for e in env)
+        tried[linear] += 1
+        try:
+            ev = prove_horn(env, fact(atom), cfg)
+        except (FuelExhausted, Stuck, GuardViolation):
+            ev = None
+        ok = isinstance(ev, EMu) and type_check(env, ev, fact(atom))[0]
+        assert ok or not linear, (seed, render_atom(atom))
+        proven[linear] += ok
+    print(f"multi-body programs: {proven[False]} of {tried[False]} repeats proven")
+    assert tried[True] >= 50 and tried[False] >= 200
+    assert proven[False] >= 0.6 * tried[False]
 
 
 def test_prefixes_add_little_to_a_tree_that_never_settles(monkeypatch):

@@ -23,10 +23,12 @@ from conftest import (
     first_step,
     random_loop_goal,
     random_looping_env,
+    random_sharing_env,
+    random_sharing_term,
     random_terminating_case,
     run_at_the_default_limit,
 )
-from cohorn import cli
+from cohorn import cli, evidence
 from cohorn.corec import ProofConfig, prove_horn
 from cohorn.evidence import (
     ObservationRecord,
@@ -444,6 +446,48 @@ def test_step_count_is_the_trace_length():
             assert m.state() == fresh.state()
 
 
+class CountedMachine(StepMachine):
+    """A `StepMachine` that counts its moves, the `advance` calls that
+    changed its state, and lists itself in `made`."""
+
+    made: list = []
+
+    def __init__(self, env, state):
+        super().__init__(env, state)
+        self.moves = 0
+        self.made.append(self)
+
+    def advance(self, *limit):
+        moved = super().advance(*limit)
+        self.moves += moved
+        return moved
+
+
+def test_a_run_that_replays_finished_atoms_ends_where_single_steps_do(monkeypatch):
+    # `run` may put a finished atom's normal form in its place in one move;
+    # it must stop at the state, count of reducible atoms and step count
+    # that as many single `advance` calls reach
+    monkeypatch.setattr(CountedMachine, "made", [])
+    rng = random.Random(16)
+    starts = [(env, MAtom(goal)) for env, goal in cases(16, 120)]
+    mixed = LIST.extended(*PAIR.clauses()[1:])
+    starts += [(mixed, random_state(rng, 5)) for _ in range(60)]
+    for _ in range(60):  # goals with repeated components
+        term = random_sharing_term(rng, rng.randint(1, 8))
+        starts.append((random_sharing_env(rng), MAtom(eq(term))))
+    folded = 0
+    for env, start in starts:
+        for k in (0, 1, 5, 40, 150):
+            m, single = CountedMachine(env, start), StepMachine(env, start)
+            m.run(k)
+            while single.steps < k and single.advance():
+                pass
+            assert (m.steps, m.reducible) == (single.steps, single.reducible)
+            assert m.state() == single.state()
+            folded += m.moves < m.steps
+    assert folded > 50
+
+
 def test_machine_keeps_the_count_of_reducible_atoms():
     for env, goal in cases(13, 60):
         m = StepMachine(env, MAtom(goal))
@@ -677,6 +721,29 @@ def test_evidence_reduction_matches_the_reference():
 
 # ---------------------------------------------------------------------------
 # Bounded cost
+
+
+@pytest.mark.parametrize(
+    "name,goal,most",
+    [
+        ("bush.asl", "Eq (Mu HBush Unit)", 10),
+        ("lam_auto.asl", "Eq (Mu HLam Unit)", 10),
+        ("mutual_auto.asl", "Eq (Mu H1 H2 Unit)", 10),
+        ("hptree.asl", "Eq (Mu HPTree Int)", 200),
+    ],
+)
+def test_simple_loop_search_stops_where_the_goal_recurs(monkeypatch, name, goal, most):
+    # counts of work, not times, at fuel 10,000: bush, lam and mutual come
+    # back to the goal within 5 steps, where the search ends; hptree never
+    # does, and its trace of 10,000 steps is walked mostly by replaying
+    # finished atoms
+    monkeypatch.setattr(CountedMachine, "made", [])
+    monkeypatch.setattr(evidence, "StepMachine", CountedMachine)
+    env = cli._axiom_env(parse_module((CORPUS / name).read_text()))
+    assert detect_simple_loop(env, parse_atom(goal), 10_000) is None
+    walk = CountedMachine.made[0]
+    assert walk.steps == (10_000 if name == "hptree.asl" else walk.moves)
+    assert sum(m.moves for m in CountedMachine.made) <= most
 
 
 def test_detect_simple_loop_on_bush_at_the_default_fuel():

@@ -823,8 +823,15 @@ def test_cycle_rule_tells_an_unguarded_atom_from_its_guarded_repeat():
     env = plain.extended(cohypothesis("r", HornFormula((z(x),), p(x))))
     ev = resolve(env, p(n), 100)
     assert ev == reference_resolve(env, p(n), Fuel(100), CorecPolicy())
-    with pytest.raises(FuelExhausted):  # without the cohypothesis: a cycle
+    with pytest.raises(FuelExhausted) as cycle:  # without the cohypothesis: a cycle
         resolve(plain, p(n), 100)
+    # the exception names the repeated atom and its guard depth, and keeps
+    # the empty message of a spent budget, which carries neither
+    assert cycle.value.atom in (p(n), q(n)) and cycle.value.depth >= 1
+    with pytest.raises(FuelExhausted) as spent:
+        resolve(plain, z(n), 5)
+    assert (spent.value.atom, spent.value.depth) == (None, None)
+    assert str(cycle.value) == str(spent.value) == ""
 
 
 def test_cycle_rule_agrees_with_the_full_fuel_burn():

@@ -441,6 +441,37 @@ print("ok")
     assert run_at_the_default_limit(code) == "ok\n"
 
 
+def test_deep_evidence_hashes_at_the_default_recursion_limit():
+    # in a child, since `cohorn.cli.main` raises this interpreter's limit:
+    # an application spine, a chain of arguments and a nest of lambdas,
+    # fixed points and applications, 100,000 deep and built twice, hash
+    # equal to each other and to their field tuples, as do records that
+    # hold them
+    code = """
+from cohorn.evidence import ObservationRecord
+from cohorn.syntax import EApp, EAxiom, ELam, EMu, EVar, Hole, MAtom, Atom
+STEPS = {
+    "spine": lambda e, i: EApp(e, EVar("b")),
+    "args": lambda e, i: EApp(EAxiom("K"), e),
+    "nest": lambda e, i: (ELam("a", e), EMu("r", e), EApp(e, MAtom(Atom("P"))))[i % 3],
+}
+def build(step):
+    e = Hole()
+    for i in range(100_000):
+        e = step(e, i)
+    return e
+for name, step in STEPS.items():
+    a, b = build(step), build(step)
+    assert hash(a) == hash(b) == hash(a._key()) and a == b, name
+    records = [ObservationRecord("observational", 1, e) for e in (a, b)]
+    assert hash(records[0]) == hash(records[1]) and records[0] == records[1], name
+assert hash(ELam("a", EVar("b"))) == hash(("a", EVar("b")))
+assert len({ELam("a", EVar("b")), EMu("a", EVar("b"))}) == 2
+print("ok")
+"""
+    assert run_at_the_default_limit(code) == "ok\n"
+
+
 # ---------------------------------------------------------------------------
 # compiled clause heads and bodies
 
